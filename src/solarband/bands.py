@@ -16,7 +16,7 @@ import numpy as np
 
 from .forecast import ForecastTrack
 from .risk import VolatilityTrack
-from .series import DaylightMask
+from .series import DaylightMask, FrozenTrack, check_aligned
 
 DEFAULT_TARGET = 0.68
 DEFAULT_WINDOW_DAYS = 3
@@ -29,12 +29,14 @@ class UncalibratableWindowError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class BandTrack:
+class BandTrack(FrozenTrack):
     """Per-time band frontiers plus the width multiplier in force.
 
     ``alpha`` is defined at every time (it is the multiplier that would be
     applied, warm-up fallback included); the frontiers are NaN wherever the
-    forecast or volatility forecast is undefined.
+    forecast or volatility forecast is undefined. ``events`` are the
+    calibration attempts the band was built from, as returned by
+    :func:`calibration_events`; the fixed band has none.
     """
 
     start_time: datetime
@@ -43,24 +45,9 @@ class BandTrack:
     alpha: np.ndarray
     window_days: int | None
     target: float | None
+    events: tuple[tuple[int, float | None], ...] = ()
 
-    def __post_init__(self) -> None:
-        for name in ("lower", "upper", "alpha"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return self.lower.size
-
-
-def _check_aligned(forecast: ForecastTrack, vol: VolatilityTrack) -> None:
-    if (
-        len(forecast) != len(vol)
-        or forecast.start_time != vol.start_time
-        or forecast.horizon != vol.horizon
-    ):
-        raise ValueError("forecast and volatility tracks are not aligned")
+    _arrays = ("lower", "upper", "alpha")
 
 
 def _frontiers(predicted: np.ndarray, vol_pred: np.ndarray, alpha: np.ndarray):
@@ -79,9 +66,16 @@ def inside_band(realized: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> n
     return (lower <= realized) & (realized <= upper)
 
 
+def eligible(flags: np.ndarray, *fields: np.ndarray) -> np.ndarray:
+    """Daylight-flagged records with every field defined: the rule calibration and scoring share."""
+    for field in fields:
+        flags = flags & ~np.isnan(field)
+    return flags
+
+
 def fixed_band(forecast: ForecastTrack, vol: VolatilityTrack) -> BandTrack:
     """Band with unit width multiplier: predicted +/- vol_pred, clamped at 0."""
-    _check_aligned(forecast, vol)
+    check_aligned(forecast, vol)
     alpha = np.ones(len(forecast))
     lower, upper = _frontiers(forecast.predicted, vol.vol_pred, alpha)
     return BandTrack(
@@ -112,7 +106,9 @@ def calibrate_alpha(
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target must be in (0, 1)")
-    _check_aligned(forecast, vol)
+    if window_days < 1:
+        raise ValueError("window_days must be >= 1")
+    check_aligned(forecast, vol, mask)
     if not 0 <= at_index <= len(forecast):
         raise ValueError(f"at_index {at_index} outside [0, {len(forecast)}]")
     lo = max(0, at_index - window_days * MINUTES_PER_DAY)
@@ -120,13 +116,8 @@ def calibrate_alpha(
 
     vol_win = vol.vol[window]
     vol_pred_win = vol.vol_pred[window]
-    eligible = (
-        mask.flags[window]
-        & ~np.isnan(vol_win)
-        & ~np.isnan(vol_pred_win)
-        & (vol_pred_win > 0)
-    )
-    ratios = vol_win[eligible] / vol_pred_win[eligible]
+    keep = eligible(mask.flags[window], vol_win, vol_pred_win) & (vol_pred_win > 0)
+    ratios = vol_win[keep] / vol_pred_win[keep]
     if ratios.size == 0:
         raise UncalibratableWindowError(f"no eligible record before index {at_index}")
 
@@ -159,7 +150,7 @@ def calibration_events(
     """
     if recal_every < 1:
         raise ValueError("recal_every must be >= 1")
-    _check_aligned(forecast, vol)
+    check_aligned(forecast, vol, mask)
     start_minute = int(forecast.start_time.timestamp()) // 60
     first = (-start_minute) % recal_every
     events: list[tuple[int, float | None]] = []
@@ -203,4 +194,5 @@ def calibrated_band(
         alpha=alpha,
         window_days=window_days,
         target=target,
+        events=tuple(events),
     )

@@ -26,11 +26,13 @@ from .series import (
     DaylightMask,
     IrradianceSeries,
     SeriesCsvError,
+    daylight_mask,
     emit_csv,
     format_timestamp,
     format_value,
     ingest_csv,
     parse_timestamp,
+    write_grid_csv,
 )
 
 EXIT_OK = 0
@@ -47,20 +49,12 @@ class TrackCsvError(ValueError):
     """Forecast-track CSV violates the format contract."""
 
 
-def _cell(value: float) -> str:
-    return "" if np.isnan(value) else format_value(value)
-
-
 def write_forecast_csv(track: ForecastTrack) -> str:
     """Render a forecast track; rows with neither field defined are omitted."""
-    out = [FORECAST_CSV_HEADER]
-    for k in range(len(track)):
-        p, r = track.predicted[k], track.realized[k]
-        if np.isnan(p) and np.isnan(r):
-            continue
-        stamp = format_timestamp(track.start_time + k * CADENCE)
-        out.append(f"{stamp},{_cell(p)},{_cell(r)}")
-    return "\n".join(out) + "\n"
+    keep = ~(np.isnan(track.predicted) & np.isnan(track.realized))
+    return write_grid_csv(
+        FORECAST_CSV_HEADER, track.start_time, keep, track.predicted, track.realized
+    )
 
 
 def read_forecast_csv(text: str, horizon: int) -> ForecastTrack:
@@ -92,6 +86,8 @@ def read_forecast_csv(text: str, horizon: int) -> ForecastTrack:
         for raw, value in zip(fields[1:], pair):
             if raw and not math.isfinite(value):
                 raise TrackCsvError(f"line {lineno}: non-finite value {raw!r}")
+            if value < 0:
+                raise TrackCsvError(f"line {lineno}: negative value {raw!r}")
         stamps.append(ts)
         cells.append(pair)
     if not stamps:
@@ -110,14 +106,10 @@ def read_forecast_csv(text: str, horizon: int) -> ForecastTrack:
 
 def write_band_csv(band: bands_mod.BandTrack) -> str:
     """Render band frontiers; rows without a defined frontier are omitted."""
-    out = [BAND_CSV_HEADER]
-    for k in range(len(band)):
-        lo, hi = band.lower[k], band.upper[k]
-        if np.isnan(lo) or np.isnan(hi):
-            continue
-        stamp = format_timestamp(band.start_time + k * CADENCE)
-        out.append(f"{stamp},{format_value(lo)},{format_value(hi)},{format_value(band.alpha[k])}")
-    return "\n".join(out) + "\n"
+    keep = ~np.isnan(band.lower) & ~np.isnan(band.upper)
+    return write_grid_csv(
+        BAND_CSV_HEADER, band.start_time, keep, band.lower, band.upper, band.alpha
+    )
 
 
 def normtest_report_csv(reports: list[normality.NormalityReport]) -> str:
@@ -130,15 +122,12 @@ def normtest_report_csv(reports: list[normality.NormalityReport]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _daylight_from_realized(realized: np.ndarray, eps_day: float) -> DaylightMask:
-    flags = ~np.isnan(realized) & (realized > eps_day)
-    return DaylightMask(flags=flags, eps_day=float(eps_day))
+def _track_daylight(track: ForecastTrack, eps_day: float) -> DaylightMask:
+    return daylight_mask(IrradianceSeries(track.start_time, track.realized), eps_day)
 
 
 def _run_normtests(track: ForecastTrack, eps_day: float, level: float):
-    diff = track.realized - track.predicted
-    flags = _daylight_from_realized(track.realized, eps_day).flags
-    sample = diff[flags & ~np.isnan(diff)]
+    sample = risk.daylight_errors(track, _track_daylight(track, eps_day))
     if sample.size < normality.MIN_SAMPLES:
         raise ValueError(f"only {sample.size} daylight error samples, need >= {normality.MIN_SAMPLES}")
     std = float(sample.std(ddof=1))
@@ -189,27 +178,23 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _calibrated_band_from_track(track: ForecastTrack, args: argparse.Namespace):
+def _calibrated_band_from_track(track: ForecastTrack, mask: DaylightMask, args: argparse.Namespace):
     vol = risk.volatility_track(track)
-    mask = _daylight_from_realized(track.realized, args.eps_day)
-    events = bands_mod.calibration_events(
-        track, vol, mask, args.window_days, args.target, args.recal_every
-    )
-    if all(alpha is None for _, alpha in events):
-        raise bands_mod.UncalibratableWindowError(
-            "no calibration window had an eligible record"
-        )
     band = bands_mod.calibrated_band(
         track, vol, mask, args.window_days, args.target, args.recal_every
     )
-    return band, events
+    if all(alpha is None for _, alpha in band.events):
+        raise bands_mod.UncalibratableWindowError(
+            "no calibration window had an eligible record"
+        )
+    return band
 
 
 def _cmd_bands(args: argparse.Namespace) -> int:
     track = read_forecast_csv(Path(args.input).read_text(), args.horizon)
-    band, events = _calibrated_band_from_track(track, args)
+    band = _calibrated_band_from_track(track, _track_daylight(track, args.eps_day), args)
     Path(args.output).write_text(write_band_csv(band))
-    for k, alpha in events:
+    for k, alpha in band.events:
         stamp = format_timestamp(track.start_time + k * CADENCE)
         print(f"{stamp} alpha={format_value(alpha) if alpha is not None else 'unchanged'}")
     return EXIT_OK
@@ -233,8 +218,8 @@ def _default_zoom(series: IrradianceSeries) -> tuple[datetime, datetime]:
 def _cmd_report(args: argparse.Namespace) -> int:
     series = _read_series(args.input)
     track = _forecast_from_series(series, args.window_w, args.horizon)
-    band, _ = _calibrated_band_from_track(track, args)
-    mask = _daylight_from_realized(track.realized, args.eps_day)
+    mask = daylight_mask(series, args.eps_day)
+    band = _calibrated_band_from_track(track, mask, args)
 
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

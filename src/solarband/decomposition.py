@@ -14,13 +14,13 @@ from datetime import datetime
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import IrradianceSeries
+from .series import FrozenTrack, IrradianceSeries
 
 DEFAULT_WINDOW = 120
 
 
 @dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(FrozenTrack):
     """Per-sample trend and fluctuation; NaN marks an undefined fit.
 
     ``slope`` is the fitted per-minute slope at each sample, kept so the
@@ -33,14 +33,7 @@ class Decomposition:
     slope: np.ndarray
     window: int
 
-    def __post_init__(self) -> None:
-        for name in ("trend", "fluctuation", "slope"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return self.trend.size
+    _arrays = ("trend", "fluctuation", "slope")
 
 
 def extract_trend(series: IrradianceSeries, window: int = DEFAULT_WINDOW) -> Decomposition:

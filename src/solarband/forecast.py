@@ -8,13 +8,13 @@ from datetime import datetime
 import numpy as np
 
 from .decomposition import Decomposition
-from .series import IrradianceSeries
+from .series import FrozenTrack, IrradianceSeries, check_aligned
 
 DEFAULT_HORIZON = 60
 
 
 @dataclass(frozen=True, eq=False)
-class ForecastTrack:
+class ForecastTrack(FrozenTrack):
     """Aligned (predicted, realized) records on the series' minute grid.
 
     ``predicted[k]`` is the forecast for time k issued ``horizon`` minutes
@@ -26,18 +26,12 @@ class ForecastTrack:
     predicted: np.ndarray
     realized: np.ndarray
 
+    _arrays = ("predicted", "realized")
+
     def __post_init__(self) -> None:
-        for name in ("predicted", "realized"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.predicted.size != self.realized.size:
-            raise ValueError("predicted and realized must have equal length")
+        super().__post_init__()
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-
-    def __len__(self) -> int:
-        return self.predicted.size
 
 
 def trend_forecast(
@@ -54,8 +48,7 @@ def trend_forecast(
         raise ValueError("horizon must be >= 1")
     values = series.values
     n = values.size
-    if len(decomposition) != n or decomposition.start_time != series.start_time:
-        raise ValueError("decomposition does not match series (length or start time)")
+    check_aligned(series, decomposition)
 
     predicted = np.full(n, np.nan)
     if horizon < n:
@@ -65,7 +58,7 @@ def trend_forecast(
         start_time=series.start_time,
         horizon=horizon,
         predicted=predicted,
-        realized=values.copy(),
+        realized=values,
     )
 
 
@@ -82,5 +75,5 @@ def persistence_forecast(series: IrradianceSeries, horizon: int = DEFAULT_HORIZO
         start_time=series.start_time,
         horizon=horizon,
         predicted=predicted,
-        realized=values.copy(),
+        realized=values,
     )

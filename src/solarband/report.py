@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import BandTrack, inside_band
+from .bands import BandTrack, eligible, inside_band
 from .forecast import ForecastTrack
 from .normality import Histogram, diff_histogram
-from .series import DEFAULT_EPS_DAY, DaylightMask, IrradianceSeries, daylight_mask
+from .risk import daylight_errors
+from .series import DEFAULT_EPS_DAY, DaylightMask, IrradianceSeries, check_aligned, daylight_mask
 
 SCORECARD_HEADER = "rmse,mae,nrmse,coverage,mean_band_width,n_scored"
 
@@ -54,31 +55,24 @@ def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> Score
     calibration uses). nRMSE is RMSE over the mean realized value of the
     scored records.
     """
-    if len(forecast) != len(band) or len(mask) != len(forecast):
-        raise ValueError("forecast, band, and mask must have equal length")
+    check_aligned(forecast, band, mask)
     realized = forecast.realized
     predicted = forecast.predicted
-    defined = (
-        ~np.isnan(realized)
-        & ~np.isnan(predicted)
-        & ~np.isnan(band.lower)
-        & ~np.isnan(band.upper)
-    )
-    eligible = mask.flags & defined
-    n = int(eligible.sum())
+    keep = eligible(mask.flags, realized, predicted, band.lower, band.upper)
+    n = int(keep.sum())
     if n == 0:
         raise NoScorableRecordsError("no eligible records to score")
 
-    err = realized[eligible] - predicted[eligible]
+    err = realized[keep] - predicted[keep]
     rmse = math.sqrt(float(np.mean(err**2)))
     mae = float(np.mean(np.abs(err)))
-    covered = inside_band(realized[eligible], band.lower[eligible], band.upper[eligible])
+    covered = inside_band(realized[keep], band.lower[keep], band.upper[keep])
     return ScoreCard(
         rmse=rmse,
         mae=mae,
-        nrmse=rmse / float(np.mean(realized[eligible])),
+        nrmse=rmse / float(np.mean(realized[keep])),
         coverage=float(np.mean(covered)),
-        mean_band_width=float(np.mean(band.upper[eligible] - band.lower[eligible])),
+        mean_band_width=float(np.mean(band.upper[keep] - band.lower[keep])),
         n_scored=n,
     )
 
@@ -300,9 +294,7 @@ def emit_plot(
     if kind == "histogram":
         if forecast is None:
             raise ValueError("histogram kind needs a forecast track")
-        diff = forecast.realized - forecast.predicted
-        flags = daylight_mask(series, eps_day).flags
-        sample = diff[flags & ~np.isnan(diff)]
+        sample = daylight_errors(forecast, daylight_mask(series, eps_day))
         if sample.size == 0:
             raise EmptyRangeError("no daylight forecast errors to bin")
         text = render_histogram_svg(diff_histogram(sample, bins), "forecast error distribution")

@@ -8,6 +8,7 @@ from datetime import datetime
 import numpy as np
 
 from .forecast import ForecastTrack
+from .series import DaylightMask, FrozenTrack, check_aligned
 
 
 class NoDefinedRecordsError(ValueError):
@@ -15,7 +16,7 @@ class NoDefinedRecordsError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class VolatilityTrack:
+class VolatilityTrack(FrozenTrack):
     """Signed error ``diff``, its magnitude ``vol``, and the shifted forecast.
 
     ``vol_pred[t]`` is the persistence forecast of ``vol`` issued ``horizon``
@@ -28,14 +29,7 @@ class VolatilityTrack:
     vol: np.ndarray
     vol_pred: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name in ("diff", "vol", "vol_pred"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return self.diff.size
+    _arrays = ("diff", "vol", "vol_pred")
 
 
 def volatility_track(track: ForecastTrack) -> VolatilityTrack:
@@ -58,3 +52,10 @@ def volatility_track(track: ForecastTrack) -> VolatilityTrack:
         vol=vol,
         vol_pred=vol_pred,
     )
+
+
+def daylight_errors(track: ForecastTrack, mask: DaylightMask) -> np.ndarray:
+    """Defined errors realized - predicted at daylight times, as tested and histogrammed."""
+    check_aligned(track, mask)
+    diff = track.realized - track.predicted
+    return diff[mask.flags & ~np.isnan(diff)]

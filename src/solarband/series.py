@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,8 +46,38 @@ class MisalignedTimestampError(SeriesCsvError):
     """A row's timestamp is not aligned to a whole minute."""
 
 
+class FrozenTrack:
+    """Frozen dataclass base: the ``_arrays`` fields are read-only copies of one length.
+
+    Copying leaves the caller's arrays writable; the common length is ``len()``.
+    """
+
+    _arrays: ClassVar[tuple[str, ...]]
+    _dtype: ClassVar[type] = float
+
+    def __post_init__(self) -> None:
+        for name in self._arrays:
+            arr = np.array(getattr(self, name), dtype=self._dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if len({getattr(self, name).size for name in self._arrays}) > 1:
+            raise ValueError(f"{type(self).__name__} fields {self._arrays} must have equal length")
+
+    def __len__(self) -> int:
+        return getattr(self, self._arrays[0]).size
+
+
+def check_aligned(*tracks: FrozenTrack) -> None:
+    """Raise unless the tracks have one length and agree on each start_time and horizon."""
+    if len({len(t) for t in tracks}) > 1:
+        raise ValueError("tracks are not aligned: lengths differ")
+    for attr in ("start_time", "horizon"):
+        if len({getattr(t, attr) for t in tracks if hasattr(t, attr)}) > 1:
+            raise ValueError(f"tracks are not aligned: {attr} differs")
+
+
 @dataclass(frozen=True, eq=False)
-class IrradianceSeries:
+class IrradianceSeries(FrozenTrack):
     """Uniform 1-minute irradiance series; NaN marks a gap.
 
     Invariants: ``start_time`` is UTC with minute precision, every non-gap
@@ -57,10 +88,11 @@ class IrradianceSeries:
     start_time: datetime
     values: np.ndarray
 
+    _arrays = ("values",)
+
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        super().__post_init__()
+        values = self.values
         if self.start_time.tzinfo is None or self.start_time.utcoffset() != timedelta(0):
             raise ValueError("start_time must be timezone-aware UTC")
         if self.start_time.second != 0 or self.start_time.microsecond != 0:
@@ -72,9 +104,6 @@ class IrradianceSeries:
             raise ValueError("non-gap values must be finite")
         if (values[~gap] < 0).any():
             raise ValueError("irradiance values must be >= 0")
-
-    def __len__(self) -> int:
-        return self.values.size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IrradianceSeries):
@@ -103,19 +132,14 @@ class IrradianceSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class DaylightMask:
+class DaylightMask(FrozenTrack):
     """Per-sample eligibility flags: non-gap and strictly above ``eps_day``."""
 
     flags: np.ndarray
     eps_day: float
 
-    def __post_init__(self) -> None:
-        flags = np.array(self.flags, dtype=bool)
-        flags.setflags(write=False)
-        object.__setattr__(self, "flags", flags)
-
-    def __len__(self) -> int:
-        return self.flags.size
+    _arrays = ("flags",)
+    _dtype = bool
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DaylightMask):
@@ -204,14 +228,25 @@ def ingest_csv(text: str) -> IrradianceSeries:
     return IrradianceSeries(start_time=stamps[0], values=values)
 
 
+def _cell(value: float) -> str:
+    return "" if math.isnan(value) else format_value(value)
+
+
+def write_grid_csv(header: str, start: datetime, keep: np.ndarray, *columns: np.ndarray) -> str:
+    """CSV of one row per kept sample: its timestamp, then a cell per column (NaN -> empty)."""
+    idx = np.flatnonzero(keep)
+    rows = [header]
+    rows.extend(
+        ",".join((format_timestamp(start + k * CADENCE), *map(_cell, cells)))
+        for k, *cells in zip(idx.tolist(), *(column[idx].tolist() for column in columns))
+    )
+    return "\n".join(rows) + "\n"
+
+
 def emit_csv(series: IrradianceSeries) -> str:
     """Render a series as CSV; gap rows are omitted.
 
     Round-trips bit-exactly through :func:`ingest_csv` provided the first
     and last samples are non-gap (boundary gaps have no row to anchor them).
     """
-    out = [CSV_HEADER]
-    values = series.values
-    for k in np.flatnonzero(~np.isnan(values)):
-        out.append(f"{format_timestamp(series.time_at(int(k)))},{format_value(values[k])}")
-    return "\n".join(out) + "\n"
+    return write_grid_csv(CSV_HEADER, series.start_time, ~series.gap_mask(), series.values)

@@ -219,3 +219,23 @@ def test_misaligned_tracks_rejected():
     short = VolatilityTrack(START, 60, v.diff[:5], v.vol[:5], v.vol_pred[:5])
     with pytest.raises(ValueError):
         fixed_band(f, short)
+    _, other_horizon, _ = tracks_from_ratios(np.ones(10), horizon=30)
+    with pytest.raises(ValueError, match="horizon"):
+        fixed_band(f, other_horizon)
+
+
+def test_window_days_below_one_rejected():
+    f, v, mask = tracks_from_ratios(np.ones(2 * 1440))
+    for window_days in (0, -1):
+        with pytest.raises(ValueError, match="window_days") as exc:
+            calibrate_alpha(f, v, mask, at_index=1440, window_days=window_days)
+        assert not isinstance(exc.value, UncalibratableWindowError)
+        with pytest.raises(ValueError, match="window_days"):
+            calibrated_band(f, v, mask, window_days=window_days)
+
+
+def test_band_records_the_events_it_was_built_from():
+    _, track, vol, mask = run_pipeline(days=3, regime="broken", seed=4)
+    band = calibrated_band(track, vol, mask, window_days=1, recal_every=720)
+    assert band.events == tuple(calibration_events(track, vol, mask, window_days=1, recal_every=720))
+    assert fixed_band(track, vol).events == ()

@@ -193,3 +193,51 @@ def test_nonfinite_track_value_is_data_error(tmp_path):
     bad.write_text("timestamp,predicted_wm2,realized_wm2\n2021-01-01T00:00:00Z,inf,5\n")
     assert run("bands", "--input", str(bad), "--output",
                str(tmp_path / "o.csv")) == cli.EXIT_DATA
+
+
+def test_negative_track_value_is_data_error(tmp_path, capsys):
+    header = "timestamp,predicted_wm2,realized_wm2\n"
+    for row in ("2021-01-01T00:00:00Z,-5,3\n", "2021-01-01T00:00:00Z,5,-3\n"):
+        with pytest.raises(cli.TrackCsvError, match="line 3: negative"):
+            cli.read_forecast_csv(header + "2020-12-31T23:59:00Z,1,1\n" + row, horizon=60)
+        bad = tmp_path / "neg.csv"
+        bad.write_text(header + row)
+        assert run("bands", "--input", str(bad), "--output",
+                   str(tmp_path / "o.csv")) == cli.EXIT_DATA
+        assert "line 2: negative" in capsys.readouterr().err
+
+
+def test_out_of_range_flags_are_data_errors(tmp_path):
+    series_csv = tmp_path / "series.csv"
+    track_csv = tmp_path / "track.csv"
+    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "clear", "--seed", "2")
+    run("forecast", "--input", str(series_csv), "--output", str(track_csv))
+    assert run("bands", "--input", str(track_csv), "--output", str(tmp_path / "b.csv"),
+               "--window-days", "0") == cli.EXIT_DATA
+    assert run("report", "--input", str(series_csv), "--output", str(tmp_path / "out"),
+               "--window-days", "0") == cli.EXIT_DATA
+    # the daylight threshold is checked by the one daylight rule
+    assert run("bands", "--input", str(track_csv), "--output", str(tmp_path / "b.csv"),
+               "--eps-day", "-1") == cli.EXIT_DATA
+    assert run("normtest", "--input", str(track_csv), "--eps-day", "-1") == cli.EXIT_DATA
+
+
+def test_bands_and_report_calibrate_once(tmp_path, monkeypatch):
+    from solarband import bands as bands_mod
+
+    calls = []
+    original = bands_mod.calibration_events
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bands_mod, "calibration_events", counted)
+    series_csv = tmp_path / "series.csv"
+    track_csv = tmp_path / "track.csv"
+    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "6")
+    run("forecast", "--input", str(series_csv), "--output", str(track_csv))
+    assert run("bands", "--input", str(track_csv), "--output", str(tmp_path / "b.csv")) == 0
+    assert len(calls) == 1
+    assert run("report", "--input", str(series_csv), "--output", str(tmp_path / "out")) == 0
+    assert len(calls) == 2
