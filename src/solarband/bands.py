@@ -88,6 +88,13 @@ def fixed_band(forecast: ForecastTrack, vol: VolatilityTrack) -> BandTrack:
     )
 
 
+def _check_window(window_days: int, target: float) -> None:
+    if not 0.0 < target < 1.0:
+        raise ValueError("target must be in (0, 1)")
+    if window_days < 1:
+        raise ValueError("window_days must be >= 1")
+
+
 def calibrate_alpha(
     forecast: ForecastTrack,
     vol: VolatilityTrack,
@@ -104,10 +111,7 @@ def calibrate_alpha(
     multipliers; coverage is nondecreasing in alpha, so the ceil(target*n)-th
     smallest ratio is the unique minimal solution.
     """
-    if not 0.0 < target < 1.0:
-        raise ValueError("target must be in (0, 1)")
-    if window_days < 1:
-        raise ValueError("window_days must be >= 1")
+    _check_window(window_days, target)
     check_aligned(forecast, vol, mask)
     if not 0 <= at_index <= len(forecast):
         raise ValueError(f"at_index {at_index} outside [0, {len(forecast)}]")
@@ -150,6 +154,7 @@ def calibration_events(
     """
     if recal_every < 1:
         raise ValueError("recal_every must be >= 1")
+    _check_window(window_days, target)  # also when no grid point reaches calibrate_alpha
     check_aligned(forecast, vol, mask)
     start_minute = int(forecast.start_time.timestamp()) // 60
     first = (-start_minute) % recal_every

@@ -9,7 +9,6 @@ byte-deterministic. Exit codes: 0 success, 2 usage error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -32,6 +31,7 @@ from .series import (
     format_value,
     ingest_csv,
     parse_timestamp,
+    read_grid_csv,
     write_grid_csv,
 )
 
@@ -49,6 +49,10 @@ class TrackCsvError(ValueError):
     """Forecast-track CSV violates the format contract."""
 
 
+# A malformed stamp is a SeriesCsvError in every minute-grid file.
+_TRACK_ERRORS = {"": TrackCsvError, "malformed timestamp": SeriesCsvError}
+
+
 def write_forecast_csv(track: ForecastTrack) -> str:
     """Render a forecast track; rows with neither field defined are omitted."""
     keep = ~(np.isnan(track.predicted) & np.isnan(track.realized))
@@ -63,44 +67,11 @@ def read_forecast_csv(text: str, horizon: int) -> ForecastTrack:
     The horizon is not stored in the file; the caller supplies it (the
     ``--horizon`` flag) so the volatility shift stays consistent.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != FORECAST_CSV_HEADER:
-        raise TrackCsvError(f"expected header {FORECAST_CSV_HEADER!r}")
-    stamps: list[datetime] = []
-    cells: list[tuple[float, float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise TrackCsvError(f"line {lineno}: expected 3 fields")
-        ts = parse_timestamp(fields[0])
-        if ts.second != 0:
-            raise TrackCsvError(f"line {lineno}: timestamp not minute-aligned")
-        if stamps and ts <= stamps[-1]:
-            raise TrackCsvError(f"line {lineno}: timestamps must strictly increase")
-        try:
-            pair = tuple(float(f) if f else float("nan") for f in fields[1:])
-        except ValueError as exc:
-            raise TrackCsvError(f"line {lineno}: malformed value") from exc
-        for raw, value in zip(fields[1:], pair):
-            if raw and not math.isfinite(value):
-                raise TrackCsvError(f"line {lineno}: non-finite value {raw!r}")
-            if value < 0:
-                raise TrackCsvError(f"line {lineno}: negative value {raw!r}")
-        stamps.append(ts)
-        cells.append(pair)
-    if not stamps:
-        raise TrackCsvError("no data rows")
-    n = (stamps[-1] - stamps[0]) // CADENCE + 1
-    predicted = np.full(n, np.nan)
-    realized = np.full(n, np.nan)
-    for ts, (p, r) in zip(stamps, cells):
-        k = (ts - stamps[0]) // CADENCE
-        predicted[k] = p
-        realized[k] = r
+    start, (predicted, realized) = read_grid_csv(
+        text, FORECAST_CSV_HEADER, _TRACK_ERRORS, empty_is_gap=True
+    )
     return ForecastTrack(
-        start_time=stamps[0], horizon=horizon, predicted=predicted, realized=realized
+        start_time=start, horizon=horizon, predicted=predicted, realized=realized
     )
 
 
@@ -217,6 +188,13 @@ def _default_zoom(series: IrradianceSeries) -> tuple[datetime, datetime]:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     series = _read_series(args.input)
+    if args.zoom_from and args.zoom_to:
+        zoom = (parse_timestamp(args.zoom_from), parse_timestamp(args.zoom_to))
+    elif args.zoom_from or args.zoom_to:
+        raise ValueError("--from and --to must be given together")
+    else:
+        zoom = _default_zoom(series)
+    report.zoom_range(series, zoom)  # a bad zoom fails before any file is written
     track = _forecast_from_series(series, args.window_w, args.horizon)
     mask = daylight_mask(series, args.eps_day)
     band = _calibrated_band_from_track(track, mask, args)
@@ -226,12 +204,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     card = report.score(track, band, mask)
     (out / "scorecard.csv").write_text(report.scorecard_csv(card))
     report.emit_plot(series, track, band, "monthly", out / "monthly.svg")
-    if args.zoom_from and args.zoom_to:
-        zoom = (parse_timestamp(args.zoom_from), parse_timestamp(args.zoom_to))
-    elif args.zoom_from or args.zoom_to:
-        raise ValueError("--from and --to must be given together")
-    else:
-        zoom = _default_zoom(series)
     report.emit_plot(series, track, band, "zoom", out / "zoom.svg", zoom=zoom)
     report.emit_plot(
         series, track, band, "histogram", out / "histogram.svg", eps_day=args.eps_day

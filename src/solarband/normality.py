@@ -111,14 +111,14 @@ def jarque_bera(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
     )
 
 
-def _supremum_distance(z_sorted: np.ndarray) -> float:
-    """Two-sided sup distance between the empirical CDF and the normal CDF."""
-    n = z_sorted.size
+def _supremum_distance(z_sorted: np.ndarray) -> np.ndarray:
+    """Two-sided sup distance between the empirical CDF and the normal CDF, per last-axis row."""
+    n = z_sorted.shape[-1]
     cdf = ndtr(z_sorted)
     steps = np.arange(1.0, n + 1.0)
-    d_plus = np.max(steps / n - cdf)
-    d_minus = np.max(cdf - (steps - 1.0) / n)
-    return float(max(d_plus, d_minus))
+    d_plus = np.max(steps / n - cdf, axis=-1)
+    d_minus = np.max(cdf - (steps - 1.0) / n, axis=-1)
+    return np.maximum(d_plus, d_minus)
 
 
 def asymptotic_distance_quantile(level: float, tol: float = 1e-12) -> float:
@@ -175,8 +175,7 @@ def ks_normal(
     if np.var(x) == 0.0:
         raise DegenerateSampleError("degenerate sample: zero variance")
     n = x.size
-    z = np.sort((x - mean) / std)
-    statistic = _supremum_distance(z)
+    statistic = float(_supremum_distance(np.sort((x - mean) / std)))
     threshold = asymptotic_distance_quantile(level) / math.sqrt(n)
     return NormalityReport(
         test_name="kolmogorov_smirnov",
@@ -196,8 +195,7 @@ def lilliefors_statistic(x: np.ndarray) -> float:
     std = float(x.std(ddof=1))
     if std == 0.0:
         raise DegenerateSampleError("degenerate sample: zero variance")
-    z = np.sort((x - x.mean()) / std)
-    return _supremum_distance(z)
+    return float(_supremum_distance(np.sort((x - x.mean()) / std)))
 
 
 def lilliefors(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
@@ -266,12 +264,7 @@ def generate_table(
             samples = rng.standard_normal((m, n))
             means = samples.mean(axis=1, keepdims=True)
             stds = samples.std(axis=1, ddof=1, keepdims=True)
-            z = np.sort((samples - means) / stds, axis=1)
-            cdf = ndtr(z)
-            steps = np.arange(1.0, n + 1.0)
-            d_plus = np.max(steps / n - cdf, axis=1)
-            d_minus = np.max(cdf - (steps - 1.0) / n, axis=1)
-            stats[done : done + m] = np.maximum(d_plus, d_minus)
+            stats[done : done + m] = _supremum_distance(np.sort((samples - means) / stds, axis=1))
             done += m
         stats.sort()
         for level in levels:

@@ -171,6 +171,14 @@ def _y_axis(canvas: _Canvas, sy, y_hi: float, label: str) -> None:
     )
 
 
+def _x_tick(canvas: _Canvas, px: float, label: str) -> None:
+    canvas.add(
+        f'<line x1="{_fmt(px)}" y1="{_HEIGHT - _MB}" x2="{_fmt(px)}" '
+        f'y2="{_HEIGHT - _MB + 4}" stroke="#888"/>'
+    )
+    canvas.add(f'<text x="{_fmt(px)}" y="{_HEIGHT - _MB + 18}" text-anchor="middle">{label}</text>')
+
+
 def _polylines(canvas: _Canvas, xs, ys, defined, sx, sy, cls: str, style: str) -> None:
     for start, stop in _runs(defined):
         points = " ".join(
@@ -205,15 +213,7 @@ def render_series_svg(
 
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         k = lo + int(round(frac * (hi - 1 - lo)))
-        px = sx(k)
-        label = series.time_at(k).strftime("%m-%d %H:%M")
-        canvas.add(
-            f'<line x1="{_fmt(px)}" y1="{_HEIGHT - _MB}" x2="{_fmt(px)}" '
-            f'y2="{_HEIGHT - _MB + 4}" stroke="#888"/>'
-        )
-        canvas.add(
-            f'<text x="{_fmt(px)}" y="{_HEIGHT - _MB + 18}" text-anchor="middle">{label}</text>'
-        )
+        _x_tick(canvas, sx(k), series.time_at(k).strftime("%m-%d %H:%M"))
 
     xs = np.arange(lo, hi)
     if band is not None:
@@ -245,14 +245,7 @@ def render_histogram_svg(hist: Histogram, title: str) -> str:
     step = _nice_step(x_hi - x_lo)
     tick = math.ceil(x_lo / step) * step
     while tick <= x_hi + step * 1e-9:
-        px = sx(tick)
-        canvas.add(
-            f'<line x1="{_fmt(px)}" y1="{_HEIGHT - _MB}" x2="{_fmt(px)}" '
-            f'y2="{_HEIGHT - _MB + 4}" stroke="#888"/>'
-        )
-        canvas.add(
-            f'<text x="{_fmt(px)}" y="{_HEIGHT - _MB + 18}" text-anchor="middle">{tick:g}</text>'
-        )
+        _x_tick(canvas, sx(tick), f"{tick:g}")
         tick += step
 
     floor = sy(0.0)
@@ -271,6 +264,15 @@ def render_histogram_svg(hist: Histogram, title: str) -> str:
     )
     canvas.add(f'<polyline class="normal-curve" fill="none" stroke="red" points="{points}"/>')
     return canvas.text()
+
+
+def zoom_range(series: IrradianceSeries, zoom: tuple[datetime, datetime]) -> tuple[int, int]:
+    """Sample indices [lo, hi) of the [from, to) range; EmptyRangeError if it holds none."""
+    lo = max(0, series.index_of(zoom[0]))
+    hi = min(len(series), series.index_of(zoom[1]))
+    if hi <= lo:
+        raise EmptyRangeError(f"zoom range [{zoom[0]}, {zoom[1]}) holds no samples")
+    return lo, hi
 
 
 def emit_plot(
@@ -301,10 +303,7 @@ def emit_plot(
     elif kind == "zoom":
         if zoom is None:
             raise ValueError("zoom kind needs a (from, to) range")
-        lo = max(0, series.index_of(zoom[0]))
-        hi = min(len(series), series.index_of(zoom[1]))
-        if hi <= lo:
-            raise EmptyRangeError(f"zoom range [{zoom[0]}, {zoom[1]}) holds no samples")
+        lo, hi = zoom_range(series, zoom)
         text = render_series_svg(series, forecast, band, lo, hi, "irradiance (zoom)")
     else:
         text = render_series_svg(series, forecast, band, 0, len(series), "irradiance")

@@ -7,6 +7,7 @@ skip gap-aligned records instead of interpolating.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -14,12 +15,15 @@ from decimal import Decimal
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 CADENCE = timedelta(minutes=1)
 DEFAULT_EPS_DAY = 5.0
 
 CSV_HEADER = "timestamp,ghi_wm2"
-TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+STAMP_LEN = 20  # YYYY-MM-DDTHH:MM:SSZ
+MAX_GRID_MINUTES = 5 * 366 * 1440
+"""Longest grid a CSV may span (five leap years); a longer span is a format error."""
 
 
 class SeriesCsvError(ValueError):
@@ -156,13 +160,41 @@ def daylight_mask(series: IrradianceSeries, eps_day: float = DEFAULT_EPS_DAY) ->
     return DaylightMask(flags=flags, eps_day=float(eps_day))
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_DIGIT_COLS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_SEPS = np.frombuffer(b"--T::Z", dtype=np.uint8)
+_WRITE_CHUNK = 4096
+
+
+def _decode_stamps(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of ``STAMP_LEN`` bytes -> (malformed, epoch minute, second).
+
+    Well formed is the exact layout naming a real UTC time in years 0001-9999.
+    Dates are checked by arithmetic: numpy's string to datetime64 cast can
+    crash, not raise, on an impossible date.
+    """
+    digits = stamps[:, _DIGIT_COLS] - 48  # uint8: a non-digit byte wraps above 9
+    bad = (digits > 9).any(axis=1) | (stamps[:, [4, 7, 10, 13, 16, 19]] != _SEPS).any(axis=1)
+    fields = []  # built a column at a time: an (n, 14) integer matrix would dominate peak memory
+    for lo, hi in ((0, 4), (4, 6), (6, 8), (8, 10), (10, 12), (12, 14)):
+        fields.append(np.zeros(len(stamps), dtype=np.int64))
+        for col in range(lo, hi):
+            fields[-1] = fields[-1] * 10 + digits[:, col]
+    year, month, day, hour, minute, second = fields
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + (day - 1)
+    bad |= (year < 1) | (month < 1) | (month > 12) | (hour > 23) | (minute > 59) | (second > 59)
+    bad |= (day < 1) | (days.astype("datetime64[M]") != months)  # day 31 of a 30-day month
+    return bad, days.astype(np.int64) * 1440 + hour * 60 + minute, second
+
+
 def parse_timestamp(text: str) -> datetime:
-    """Strictly parse a ``YYYY-MM-DDTHH:MM:SSZ`` UTC timestamp."""
-    try:
-        ts = datetime.strptime(text, TIMESTAMP_FORMAT)
-    except ValueError as exc:
-        raise SeriesCsvError(f"malformed timestamp {text!r}") from exc
-    return ts.replace(tzinfo=timezone.utc)
+    """Strictly parse a ``YYYY-MM-DDTHH:MM:SSZ`` UTC timestamp (the CSV stamp rule)."""
+    stamp = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    bad, minute, second = _decode_stamps(np.resize(stamp, (1, STAMP_LEN)))
+    if stamp.size != STAMP_LEN or bad[0]:
+        raise SeriesCsvError(f"malformed timestamp {text!r}")
+    return _EPOCH + timedelta(minutes=int(minute[0]), seconds=int(second[0]))
 
 
 def format_timestamp(when: datetime) -> str:
@@ -181,51 +213,116 @@ def format_value(value: float) -> str:
     return text
 
 
+def _floats(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
+    """``float()`` of each cell ``buf[start:start + length]``, bit-exact; NaN where empty.
+
+    Cells are cast as ``S<w>`` arrays grouped by power-of-two width ``w``, so
+    a copy stays under twice the cells' bytes; ``buf`` must run ``w`` bytes
+    past each cell start. None if any cell is malformed.
+    """
+    out = np.full(start.size, np.nan)
+    exponent = np.frexp(length)[1]  # length < 2**exponent; 0 when empty
+    for e in np.unique(exponent[exponent > 0]).tolist():
+        rows = np.flatnonzero(exponent == e)
+        cells = sliding_window_view(buf, 1 << e)[start[rows]]
+        cells[np.arange(1 << e) >= length[rows, None]] = 0  # an S array drops trailing NULs
+        try:
+            out[rows] = cells.view(f"S{1 << e}").ravel().astype(float)
+        except ValueError:
+            return None
+    return out
+
+
+def read_grid_csv(
+    text: str, header: str, errors: dict[str, type[ValueError]], empty_is_gap: bool = False
+) -> tuple[datetime, list[np.ndarray]]:
+    """Parse a minute-grid CSV: its start time and one gap-filled array per value column.
+
+    Rows hold an exact ``YYYY-MM-DDTHH:MM:SSZ`` stamp on a whole minute, later
+    than the row before and within ``MAX_GRID_MINUTES`` of the first, then
+    cells parsed as ``float`` parses them; an empty cell is NaN if
+    ``empty_is_gap``. Missing minutes become NaN. The first defective row
+    raises ``errors[defect]`` (default ``errors[""]``) naming its line; within
+    a row the first failed check below wins.
+    """
+    # One byte per character: a non-ASCII character, or a NUL that an S array
+    # would drop, becomes "?", which no stamp or value accepts.
+    raw = text.encode("ascii", "replace").replace(b"\0", b"?")
+    raw += b"" if raw.endswith(b"\n") else b"\n"
+    head = header.encode() + b"\n"
+    if not raw.startswith(head):
+        raise errors.get("header", errors[""])(f"expected header {header!r}")
+    ncols = header.count(",")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))[1:]
+    if ends.size == 0:
+        raise errors[""]("no data rows")
+    starts = np.concatenate(([len(head)], ends[:-1] + 1))
+    commas = np.flatnonzero(buf == ord(","))[ncols:]
+    n, defect = ends.size, None  # each check sees the rows before the first defect so far
+
+    def check(name: str, bad: np.ndarray) -> None:
+        nonlocal n, defect
+        if bad[:n].any():
+            n, defect = int(np.argmax(bad[:n])), name
+
+    check("wrong field count", np.bincount(np.searchsorted(ends, commas), minlength=n) != ncols)
+    commas = commas[: n * ncols].reshape(n, ncols)
+    cell_start = commas + 1
+    cell_len = np.column_stack((commas[:, 1:], ends[:n])) - cell_start
+    # Stamp and cell windows read up to twice a cell's length past its start.
+    padded = np.zeros(buf.size + 2 * max(STAMP_LEN, int(cell_len.max(initial=0))), dtype=np.uint8)
+    padded[: buf.size] = buf
+    del raw, buf  # one copy of the text at a time: the CLI's peak memory is measured
+
+    malformed, minute, second = _decode_stamps(sliding_window_view(padded, STAMP_LEN)[starts[:n]])
+    check("malformed timestamp", malformed | (commas[:, 0] - starts[:n] != STAMP_LEN))
+    check("timestamp not minute-aligned", second != 0)
+    if not empty_is_gap:
+        check("malformed value", (cell_len == 0).any(axis=1))
+
+    def parse(rows: int) -> np.ndarray | None:
+        cells = _floats(padded, cell_start[:rows].ravel(), cell_len[:rows].ravel())
+        return None if cells is None else cells.reshape(rows, ncols)
+
+    values = parse(n)
+    if values is None:  # bisect for the first row that does not parse
+        n = bisect.bisect_left(range(n), True, key=lambda row: parse(row + 1) is None)
+        defect, values = "malformed value", parse(n)
+    check("non-finite value", ((cell_len[:n] > 0) & ~np.isfinite(values)).any(axis=1))
+    check("negative value", (values < 0).any(axis=1))
+    minute = minute[:n]
+    step = np.diff(minute, prepend=minute[:1] - 1)
+    check("duplicate timestamp", step == 0)
+    check("timestamp out of order", step < 0)
+    check("grid longer than MAX_GRID_MINUTES", minute - minute[:1] >= MAX_GRID_MINUTES)
+    if defect is not None:
+        line = text[starts[n] : ends[n]]
+        raise errors.get(defect, errors[""])(f"line {n + 2}: {defect}: {line!r}")
+    offset = minute - minute[0]
+    grid = np.full((ncols, int(offset[-1]) + 1), np.nan)
+    grid[:, offset] = values.T
+    return _EPOCH + timedelta(minutes=int(minute[0])), list(grid)
+
+
+_SERIES_ERRORS = {
+    "": SeriesCsvError,
+    "header": MalformedHeaderError,
+    "timestamp not minute-aligned": MisalignedTimestampError,
+    "negative value": NegativeIrradianceError,
+    "duplicate timestamp": DuplicateTimestampError,
+    "timestamp out of order": NonMonotoneTimestampError,
+}
+
+
 def ingest_csv(text: str) -> IrradianceSeries:
     """Parse an irradiance CSV into a gap-filled minute series.
 
     Missing minutes between the first and last row become gaps. Values are
     taken verbatim (bit-exact); nothing is interpolated.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != CSV_HEADER:
-        raise MalformedHeaderError(f"expected header {CSV_HEADER!r}")
-
-    stamps: list[datetime] = []
-    parsed: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise SeriesCsvError(f"line {lineno}: expected 2 fields, got {len(fields)}")
-        ts = parse_timestamp(fields[0])
-        if ts.second != 0:
-            raise MisalignedTimestampError(f"line {lineno}: timestamp {fields[0]} not minute-aligned")
-        try:
-            value = float(fields[1])
-        except ValueError as exc:
-            raise SeriesCsvError(f"line {lineno}: malformed value {fields[1]!r}") from exc
-        if math.isnan(value) or math.isinf(value):
-            raise SeriesCsvError(f"line {lineno}: non-finite value {fields[1]!r}")
-        if value < 0:
-            raise NegativeIrradianceError(f"line {lineno}: negative irradiance {fields[1]}")
-        if stamps:
-            if ts == stamps[-1]:
-                raise DuplicateTimestampError(f"line {lineno}: duplicate timestamp {fields[0]}")
-            if ts < stamps[-1]:
-                raise NonMonotoneTimestampError(f"line {lineno}: timestamp {fields[0]} out of order")
-        stamps.append(ts)
-        parsed.append(value)
-
-    if not stamps:
-        raise SeriesCsvError("no data rows")
-
-    n = (stamps[-1] - stamps[0]) // CADENCE + 1
-    values = np.full(n, np.nan)
-    for ts, value in zip(stamps, parsed):
-        values[(ts - stamps[0]) // CADENCE] = value
-    return IrradianceSeries(start_time=stamps[0], values=values)
+    start, (values,) = read_grid_csv(text, CSV_HEADER, _SERIES_ERRORS)
+    return IrradianceSeries(start_time=start, values=values)
 
 
 def _cell(value: float) -> str:
@@ -233,14 +330,19 @@ def _cell(value: float) -> str:
 
 
 def write_grid_csv(header: str, start: datetime, keep: np.ndarray, *columns: np.ndarray) -> str:
-    """CSV of one row per kept sample: its timestamp, then a cell per column (NaN -> empty)."""
+    """CSV of one row per kept sample: its timestamp, then a cell per column (NaN -> empty).
+
+    Rows are joined ``_WRITE_CHUNK`` at a time, so no per-row string outlives its chunk.
+    """
     idx = np.flatnonzero(keep)
-    rows = [header]
-    rows.extend(
-        ",".join((format_timestamp(start + k * CADENCE), *map(_cell, cells)))
-        for k, *cells in zip(idx.tolist(), *(column[idx].tolist() for column in columns))
-    )
-    return "\n".join(rows) + "\n"
+    origin = np.datetime64(start.replace(tzinfo=None), "m")
+    chunks = [header]
+    for lo in range(0, idx.size, _WRITE_CHUNK):
+        k = idx[lo : lo + _WRITE_CHUNK]
+        stamps = np.datetime_as_string(origin + k, unit="s", timezone="UTC").tolist()
+        cells = ([_cell(v) for v in column[k].tolist()] for column in columns)
+        chunks.append("\n".join(map(",".join, zip(stamps, *cells))))
+    return "\n".join(chunks) + "\n"
 
 
 def emit_csv(series: IrradianceSeries) -> str:

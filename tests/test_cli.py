@@ -241,3 +241,45 @@ def test_bands_and_report_calibrate_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert run("report", "--input", str(series_csv), "--output", str(tmp_path / "out")) == 0
     assert len(calls) == 2
+
+
+def test_grid_span_cap_is_a_data_error(tmp_path, capsys):
+    """A 2-row file spanning 90 years is refused before its grid is allocated."""
+    series_csv = tmp_path / "series.csv"
+    series_csv.write_text("timestamp,ghi_wm2\n2000-01-01T00:00:00Z,1\n2090-01-01T00:00:00Z,1\n")
+    assert run("forecast", "--input", str(series_csv), "--output", str(tmp_path / "t.csv")) == cli.EXIT_DATA
+    assert "line 3: grid longer than MAX_GRID_MINUTES" in capsys.readouterr().err
+    track_csv = tmp_path / "track.csv"
+    track_csv.write_text(
+        f"{cli.FORECAST_CSV_HEADER}\n2000-01-01T00:00:00Z,1,1\n2090-01-01T00:00:00Z,1,1\n"
+    )
+    assert run("bands", "--input", str(track_csv), "--output", str(tmp_path / "b.csv")) == cli.EXIT_DATA
+    assert "line 3: grid longer than MAX_GRID_MINUTES" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "b.csv").exists()
+
+
+def test_calibration_flags_checked_without_a_recalibration_point(tmp_path):
+    """A 10-hour track from 01:00 UTC holds no daily recalibration point, and bad flags still exit 3."""
+    rows = [
+        f"2021-06-01T{1 + k // 60:02d}:{k % 60:02d}:00Z,{100 + k % 7},{100 + k % 5}" for k in range(600)
+    ]
+    track_csv = tmp_path / "track.csv"
+    track_csv.write_text("\n".join([cli.FORECAST_CSV_HEADER, *rows]) + "\n")
+    band_csv = str(tmp_path / "b.csv")
+    assert run("bands", "--input", str(track_csv), "--output", band_csv) == cli.EXIT_UNCALIBRATABLE
+    for flags in (("--window-days", "0"), ("--target", "5")):
+        assert run("bands", "--input", str(track_csv), "--output", band_csv, *flags) == cli.EXIT_DATA
+
+
+def test_bad_zoom_writes_nothing(tmp_path):
+    series_csv = tmp_path / "series.csv"
+    run("synth", "--output", str(series_csv), "--days", "4", "--regime", "broken", "--seed", "12")
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    for zoom in (
+        ("--from", "2022-01-01T00:00:00Z", "--to", "2022-01-02T00:00:00Z"),  # empty window
+        ("--from", "2021-05-30T12:00:00Z"),  # half a range
+        ("--from", "2021-05-30T12:00:30Z", "--to", "2021-05-31T00:00:00Z"),  # off the minute grid
+    ):
+        assert run("report", "--input", str(series_csv), "--output", str(outdir), *zoom) == cli.EXIT_DATA
+        assert list(outdir.iterdir()) == []

@@ -1,14 +1,33 @@
-"""Property tests: the minute-grid CSV writers round-trip through their readers."""
+"""The minute-grid CSV codec: round trips, the writer against a row-loop reference, reader errors."""
 
-from datetime import datetime, timezone
+import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solarband import cli
 from solarband.forecast import ForecastTrack
-from solarband.series import IrradianceSeries, emit_csv, ingest_csv
+from solarband.series import (
+    CADENCE,
+    CSV_HEADER,
+    MAX_GRID_MINUTES,
+    DuplicateTimestampError,
+    IrradianceSeries,
+    MalformedHeaderError,
+    MisalignedTimestampError,
+    NegativeIrradianceError,
+    NonMonotoneTimestampError,
+    SeriesCsvError,
+    emit_csv,
+    format_timestamp,
+    format_value,
+    ingest_csv,
+    parse_timestamp,
+    write_grid_csv,
+)
 
 values = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 starts = st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2040, 1, 1)).map(
@@ -51,3 +70,183 @@ def test_forecast_csv_round_trip(start, data, n):
     assert back.start_time == start
     assert np.array_equal(bits(back.predicted), bits(track.predicted))
     assert np.array_equal(bits(back.realized), bits(track.realized))
+
+
+# ---------------------------------------------------------------------------
+# the array writer against the row loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def cell(value):
+    return "" if math.isnan(value) else format_value(value)
+
+
+def reference_write_grid_csv(header, start, keep, *columns):
+    """The row-loop writer the array writer replaced: a datetime and a format_value call per cell."""
+    idx = np.flatnonzero(keep)
+    rows = [header]
+    rows.extend(
+        ",".join((format_timestamp(start + k * CADENCE), *map(cell, cells)))
+        for k, *cells in zip(idx.tolist(), *(column[idx].tolist() for column in columns))
+    )
+    return "\n".join(rows) + "\n"
+
+
+# plain decimals, and the magnitudes whose repr is scientific (the Decimal fallback)
+cell_values = st.one_of(
+    values,
+    st.floats(min_value=0.0, max_value=1e-4, exclude_max=True),
+    st.floats(min_value=1e16, allow_infinity=False),
+)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    start=starts,
+    n=st.integers(1, 9000),
+    ncols=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    drawn=st.lists(cell_values, min_size=1, max_size=40),
+)
+def test_array_writer_matches_row_loop(start, n, ncols, seed, drawn):
+    """Byte for byte, across chunk boundaries, random gap masks and every cell magnitude."""
+    rng = np.random.default_rng(seed)
+    keep = rng.random(n) < rng.random()
+    columns = []
+    for _ in range(ncols):
+        column = rng.uniform(0, 1200, n) * 10.0 ** rng.integers(-8, 20, n)
+        column[rng.integers(0, n, len(drawn))] = drawn
+        column[rng.random(n) < 0.2] = np.nan
+        columns.append(column)
+    header = ",".join(["timestamp"] + [f"c{j}" for j in range(ncols)])
+    assert write_grid_csv(header, start, keep, *columns) == reference_write_grid_csv(
+        header, start, keep, *columns
+    )
+
+
+# ---------------------------------------------------------------------------
+# reader errors: the first defective row, its line, and the per-row reader's error class
+# ---------------------------------------------------------------------------
+
+ROW = 1000  # the defective data row, on file line ROW + 1
+T0 = datetime(2021, 3, 1, tzinfo=timezone.utc)
+
+
+def stamp(k, second=0):
+    return format_timestamp(T0 + k * CADENCE).replace(":00Z", f":{second:02d}Z")
+
+
+def csv_with(header, cells, row_text, rows=1500):
+    lines = [header] + [f"{stamp(k)},{cells}" for k in range(rows)]
+    lines[ROW] = row_text
+    return "\n".join(lines) + "\n"
+
+
+def read_track(text):
+    return cli.read_forecast_csv(text, horizon=60)
+
+
+K = ROW - 1  # grid index of the defective row when its stamp is in place
+# (name, series row, its error, track row, its error): rows the per-row strptime/float
+# reader rejected raise the class it raised, now naming the line of a malformed stamp too
+REJECTED = [
+    ("fields", f"{stamp(K)},1,2", SeriesCsvError, f"{stamp(K)},1", cli.TrackCsvError),
+    ("empty line", "", SeriesCsvError, "", cli.TrackCsvError),
+    ("bad separator", f"{stamp(K)[:10]}X{stamp(K)[11:]},1", SeriesCsvError,
+     f"{stamp(K)[:10]}X{stamp(K)[11:]},1,1", SeriesCsvError),
+    ("impossible date", "2021-02-29T00:00:00Z,1", SeriesCsvError,
+     "2021-02-29T00:00:00Z,1,1", SeriesCsvError),
+    ("hour 24", "2021-03-01T24:00:00Z,1", SeriesCsvError, "2021-03-01T24:00:00Z,1,1", SeriesCsvError),
+    ("year 0", "0000-03-01T00:00:00Z,1", SeriesCsvError, "0000-03-01T00:00:00Z,1,1", SeriesCsvError),
+    ("non-ASCII stamp", f"{stamp(K)[:-1]}\uff3a,1", SeriesCsvError,
+     f"{stamp(K)[:-1]}\uff3a,1,1", SeriesCsvError),
+    ("misaligned", f"{stamp(K, 30)},1", MisalignedTimestampError, f"{stamp(K, 30)},1,1", cli.TrackCsvError),
+    ("malformed value", f"{stamp(K)},abc", SeriesCsvError, f"{stamp(K)},abc,1", cli.TrackCsvError),
+    ("empty or cut value", f"{stamp(K)},", SeriesCsvError, f"{stamp(K)},1,1e", cli.TrackCsvError),
+    ("NUL in value", f"{stamp(K)},1\0", SeriesCsvError, f"{stamp(K)},1,1\0", cli.TrackCsvError),
+    ("non-finite", f"{stamp(K)},inf", SeriesCsvError, f"{stamp(K)},1,nan", cli.TrackCsvError),
+    ("negative", f"{stamp(K)},-1", NegativeIrradianceError, f"{stamp(K)},-1,", cli.TrackCsvError),
+    ("duplicate", f"{stamp(K - 1)},1", DuplicateTimestampError, f"{stamp(K - 1)},1,1", cli.TrackCsvError),
+    ("out of order", f"{stamp(0)},1", NonMonotoneTimestampError, f"{stamp(0)},1,1", cli.TrackCsvError),
+]
+# rows that reader accepted and the fixed layout and ASCII-only cells now reject
+TIGHTENED = [
+    ("single-digit month", "2021-3-01T16:39:00Z,1", SeriesCsvError, "2021-3-01T16:39:00Z,1,1", SeriesCsvError),
+    ("single-digit second", f"{stamp(K)[:-3]}0Z,1", SeriesCsvError, f"{stamp(K)[:-3]}0Z,1,1", SeriesCsvError),
+    ("lower-case stamp", f"{stamp(K).lower()},1", SeriesCsvError, f"{stamp(K).lower()},1,1", SeriesCsvError),
+    ("non-ASCII digit", f"{stamp(K)},\uff11", SeriesCsvError, f"{stamp(K)},1,\u00a01", cli.TrackCsvError),
+]
+DEFECTS = REJECTED + TIGHTENED
+
+
+@pytest.mark.parametrize("fmt", ["series", "track"])
+@pytest.mark.parametrize("defect", DEFECTS, ids=[d[0] for d in DEFECTS])
+def test_first_defect_names_its_line(fmt, defect):
+    _, series_row, series_error, track_row, track_error = defect
+    if fmt == "series":
+        text, read, error = csv_with(CSV_HEADER, "1", series_row), ingest_csv, series_error
+    else:
+        text, read, error = csv_with(cli.FORECAST_CSV_HEADER, "1,", track_row), read_track, track_error
+    # a later defect of another kind must not mask the first one
+    text = text.replace(f"{stamp(1300)},", f"{stamp(1300)},-", 1)
+    with pytest.raises(SeriesCsvError if error is SeriesCsvError else error) as exc:
+        read(text)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(f"line {ROW + 1}: ")
+
+
+def test_earliest_check_wins_within_a_row():
+    text = csv_with(CSV_HEADER, "1", f"{stamp(0, 30)},-1")  # misaligned, negative and out of order
+    with pytest.raises(MisalignedTimestampError, match=f"line {ROW + 1}: timestamp not minute-aligned"):
+        ingest_csv(text)
+
+
+def test_header_and_empty_errors():
+    for text in ("", "\n", "timestamp,ghi\n", "timestamp,ghi_wm2\r\n2021-03-01T00:00:00Z,1\r\n"):
+        with pytest.raises(MalformedHeaderError):
+            ingest_csv(text)
+    for text in ("timestamp,ghi_wm2", "timestamp,ghi_wm2\n"):
+        with pytest.raises(SeriesCsvError, match="no data rows"):
+            ingest_csv(text)
+    with pytest.raises(cli.TrackCsvError, match="header"):
+        read_track("timestamp,predicted_wm2\n")
+
+
+def test_reader_accepts_what_float_accepts():
+    """Cells parse as float() parses them; the last row may lack its newline."""
+    text = f"{CSV_HEADER}\n{stamp(0)}, 1.5\n{stamp(1)},1_000\n{stamp(3)},-0\n{stamp(4)},2E3"
+    series = ingest_csv(text)
+    assert series.start_time == T0
+    assert np.array_equal(series.values, [1.5, 1000.0, np.nan, 0.0, 2000.0], equal_nan=True)
+    track = read_track(f"{cli.FORECAST_CSV_HEADER}\n{stamp(0)},,\n{stamp(2)},3,\n")
+    assert np.array_equal(track.predicted, [np.nan, np.nan, 3.0], equal_nan=True)
+    assert np.isnan(track.realized).all()
+
+
+def test_long_cells_parse_bit_exactly():
+    """Exact decimal expansions run to over a thousand digits (the smallest subnormal)."""
+    cells = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 123.25]
+    series = IrradianceSeries(T0, np.array(cells))
+    text = emit_csv(series)
+    assert max(map(len, text.split("\n"))) > 1000
+    assert np.array_equal(bits(ingest_csv(text).values), bits(cells))
+
+
+def test_grid_span_is_capped():
+    last = T0 + (MAX_GRID_MINUTES - 1) * CADENCE
+    series = ingest_csv(f"{CSV_HEADER}\n{stamp(0)},1\n{format_timestamp(last)},2\n")
+    assert len(series) == MAX_GRID_MINUTES
+    too_far = format_timestamp(last + CADENCE)
+    with pytest.raises(SeriesCsvError, match="line 3: grid longer than MAX_GRID_MINUTES") as exc:
+        ingest_csv(f"{CSV_HEADER}\n{stamp(0)},1\n{too_far},2\n")
+    assert type(exc.value) is SeriesCsvError
+    with pytest.raises(cli.TrackCsvError, match="line 3: grid longer"):
+        read_track(f"{cli.FORECAST_CSV_HEADER}\n{stamp(0)},1,1\n{too_far},2,2\n")
+
+
+def test_parse_timestamp_uses_the_csv_stamp_rule():
+    assert parse_timestamp("2021-03-01T00:00:30Z") == T0 + timedelta(seconds=30)
+    for text in ("2021-3-01T00:00:00Z", "2021-03-01t00:00:00z", "2021-03-01T00:00:00", "0000-01-01T00:00:00Z",
+                 "2021-02-29T00:00:00Z", "2021-03-01T00:00:00Z ", "2021-03-01T00:00:0١Z"):
+        with pytest.raises(SeriesCsvError, match="malformed timestamp"):
+            parse_timestamp(text)
