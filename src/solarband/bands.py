@@ -73,6 +73,11 @@ def eligible(flags: np.ndarray, *fields: np.ndarray) -> np.ndarray:
     return flags
 
 
+def _calibratable(flags: np.ndarray, vol: np.ndarray, vol_pred: np.ndarray) -> np.ndarray:
+    """Records whose ratio vol / vol_pred is a candidate multiplier: eligible, vol_pred > 0."""
+    return eligible(flags, vol, vol_pred) & (vol_pred > 0)
+
+
 def fixed_band(forecast: ForecastTrack, vol: VolatilityTrack) -> BandTrack:
     """Band with unit width multiplier: predicted +/- vol_pred, clamped at 0."""
     check_aligned(forecast, vol)
@@ -120,7 +125,7 @@ def calibrate_alpha(
 
     vol_win = vol.vol[window]
     vol_pred_win = vol.vol_pred[window]
-    keep = eligible(mask.flags[window], vol_win, vol_pred_win) & (vol_pred_win > 0)
+    keep = _calibratable(mask.flags[window], vol_win, vol_pred_win)
     ratios = vol_win[keep] / vol_pred_win[keep]
     if ratios.size == 0:
         raise UncalibratableWindowError(f"no eligible record before index {at_index}")
@@ -134,7 +139,7 @@ def calibrate_alpha(
         rank -= 1
     while rank / n < target:
         rank += 1
-    return float(np.sort(ratios)[rank - 1])
+    return float(np.partition(ratios, rank - 1)[rank - 1])
 
 
 def calibration_events(
@@ -151,19 +156,34 @@ def calibration_events(
     ``recal_every``), not to the track start, so identical data reaches
     identical multipliers regardless of where a file was cut. A failed
     attempt is reported as None; the previous multiplier stays in force.
+
+    The multiplier depends only on the set of calibratable records in the
+    window, so a grid point whose window gained and lost none since the
+    previous point repeats that point's result without calling
+    :func:`calibrate_alpha` (every window that slides through night does).
     """
     if recal_every < 1:
         raise ValueError("recal_every must be >= 1")
     _check_window(window_days, target)  # also when no grid point reaches calibrate_alpha
     check_aligned(forecast, vol, mask)
+    n = len(forecast)
     start_minute = int(forecast.start_time.timestamp()) // 60
-    first = (-start_minute) % recal_every
+    ks = np.arange((-start_minute) % recal_every, n, recal_every)
+    # Python-int product, clamped to n: a huge window_days cannot overflow int64.
+    los = np.maximum(ks - min(window_days * MINUTES_PER_DAY, n), 0)
+    before = np.concatenate(([0], np.cumsum(_calibratable(mask.flags, vol.vol, vol.vol_pred))))
+    entered, left = before[ks], before[los]
+    changed = np.ones(ks.size, dtype=bool)
+    changed[1:] = (entered[1:] != entered[:-1]) | (left[1:] != left[:-1])
+
     events: list[tuple[int, float | None]] = []
-    for k in range(first, len(forecast), recal_every):
-        try:
-            alpha = calibrate_alpha(forecast, vol, mask, k, window_days, target)
-        except UncalibratableWindowError:
-            alpha = None
+    alpha = None
+    for k, fresh in zip(ks.tolist(), changed.tolist()):
+        if fresh:
+            try:
+                alpha = calibrate_alpha(forecast, vol, mask, k, window_days, target)
+            except UncalibratableWindowError:
+                alpha = None
         events.append((k, alpha))
     return events
 
@@ -183,14 +203,14 @@ def calibrated_band(
     band), so the calibrated band degrades to the fixed one, never worse.
     """
     events = calibration_events(forecast, vol, mask, window_days, target, recal_every)
-    n = len(forecast)
-    alpha = np.ones(n)
-    current = 1.0
-    for i, (k, value) in enumerate(events):
-        if value is not None:
-            current = value
-        nxt = events[i + 1][0] if i + 1 < len(events) else n
-        alpha[k:nxt] = current
+    alpha = np.ones(len(forecast))
+    if events:
+        ks = [k for k, _ in events]
+        in_force, current = [], 1.0
+        for _, value in events:
+            current = current if value is None else value
+            in_force.append(current)
+        alpha[ks[0]:] = np.repeat(in_force, np.diff(ks, append=len(forecast)))
     lower, upper = _frontiers(forecast.predicted, vol.vol_pred, alpha)
     return BandTrack(
         start_time=forecast.start_time,

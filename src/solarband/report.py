@@ -99,10 +99,11 @@ def _fmt(px: float) -> str:
 
 
 def _nice_step(span: float, max_ticks: int = 6) -> float:
-    if span <= 0:
-        return 1.0
     raw = span / max_ticks
-    power = 10.0 ** math.floor(math.log10(raw))
+    # A step that underflows to 0 would never end the tick loops: one tick at 0.
+    power = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+    if power == 0.0:
+        return 1.0
     for mult in (1.0, 2.0, 5.0, 10.0):
         if power * mult >= raw:
             return power * mult
@@ -180,10 +181,17 @@ def _x_tick(canvas: _Canvas, px: float, label: str) -> None:
 
 
 def _polylines(canvas: _Canvas, xs, ys, defined, sx, sy, cls: str, style: str) -> None:
+    """One polyline per run of defined samples; a gap splits the line.
+
+    ``sx``/``sy`` map whole arrays with the per-point float operations, and
+    each run is one ``%``-format, so the text equals per-point ``_fmt``.
+    """
+    xy = np.empty((len(xs), 2))
+    xy[:, 0] = sx(xs)
+    xy[:, 1] = sy(ys)
     for start, stop in _runs(defined):
-        points = " ".join(
-            f"{_fmt(sx(xs[k]))},{_fmt(sy(ys[k]))}" for k in range(start, stop)
-        )
+        coords = tuple(xy[start:stop].ravel().tolist())
+        points = " ".join(["%.2f,%.2f"] * (stop - start)) % coords
         canvas.add(f'<polyline class="{cls}" fill="none" {style} points="{points}"/>')
 
 
@@ -258,11 +266,8 @@ def render_histogram_svg(hist: Histogram, title: str) -> str:
             f'width="{_fmt(right - left)}" height="{_fmt(floor - top)}" '
             f'fill="blue" fill-opacity="0.55"/>'
         )
-    points = " ".join(
-        f"{_fmt(sx(float(x)))},{_fmt(sy(float(y)))}"
-        for x, y in zip(hist.curve_x, hist.curve_y)
-    )
-    canvas.add(f'<polyline class="normal-curve" fill="none" stroke="red" points="{points}"/>')
+    whole = np.ones(len(hist.curve_x), dtype=bool)
+    _polylines(canvas, hist.curve_x, hist.curve_y, whole, sx, sy, "normal-curve", 'stroke="red"')
     return canvas.text()
 
 

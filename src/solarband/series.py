@@ -153,7 +153,7 @@ class DaylightMask(FrozenTrack):
 
 def daylight_mask(series: IrradianceSeries, eps_day: float = DEFAULT_EPS_DAY) -> DaylightMask:
     """Flag samples that are non-gap and strictly above ``eps_day`` W/m^2."""
-    if eps_day < 0:
+    if not eps_day >= 0:  # NaN too: it would flag no sample
         raise ValueError("eps_day must be >= 0")
     values = series.values
     flags = ~np.isnan(values) & (values > eps_day)

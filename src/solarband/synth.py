@@ -13,7 +13,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .series import IrradianceSeries
+from .series import MAX_GRID_MINUTES, IrradianceSeries
 
 REFERENCE_YEAR = 2021
 MINUTES_PER_DAY = 1440
@@ -51,9 +51,10 @@ class SynthConfig:
             raise ValueError("latitude must be in [-90, 90]")
         if not 1 <= self.day_of_year <= 366:
             raise ValueError("day_of_year must be in 1..366")
-        if self.days < 1:
-            raise ValueError("days must be >= 1")
-        if self.clear_sky_peak <= 0:
+        max_days = MAX_GRID_MINUTES // MINUTES_PER_DAY  # the longest span the readers accept
+        if not 1 <= self.days <= max_days:
+            raise ValueError(f"days must be in 1..{max_days}")
+        if not self.clear_sky_peak > 0:  # NaN would write a file of gaps only
             raise ValueError("clear_sky_peak must be > 0")
         if self.cloud_regime not in REGIMES:
             raise ValueError(f"cloud_regime must be one of {REGIMES}")

@@ -1,6 +1,10 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
 from conftest import START, all_daylight, make_series, run_pipeline
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solarband.bands import (
     UncalibratableWindowError,
@@ -239,3 +243,132 @@ def test_band_records_the_events_it_was_built_from():
     band = calibrated_band(track, vol, mask, window_days=1, recal_every=720)
     assert band.events == tuple(calibration_events(track, vol, mask, window_days=1, recal_every=720))
     assert fixed_band(track, vol).events == ()
+
+
+@pytest.mark.parametrize("target, n", [(0.68, 25), (0.6, 5), (0.7, 10), (0.3, 10), (0.5, 2)])
+def test_calibrate_exact_rank_boundaries(target, n):
+    """Where target * n is an exact integer the rank is that integer, however the product rounds."""
+    ratios = np.arange(1, n + 1, dtype=float)
+    f, v, mask = tracks_from_ratios(ratios)
+    assert calibrate_alpha(f, v, mask, at_index=n, target=target) == round(target * n)
+
+
+targets = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_calibrate_alpha_is_the_minimal_multiplier(data):
+    """Rank - 1 ratios miss the target and rank ratios meet it, ties and exact boundaries included."""
+    ratio = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 1e6))
+    ratios = data.draw(st.lists(ratio, min_size=1, max_size=200))
+    n = len(ratios)
+    if n > 1 and data.draw(st.booleans()):
+        target = data.draw(st.integers(1, n - 1)) / n  # an exact boundary rank / n
+    else:
+        target = data.draw(targets)
+    f, v, mask = tracks_from_ratios(ratios)
+    alpha = calibrate_alpha(f, v, mask, at_index=n, target=target)
+
+    rank = next(r for r in range(1, n + 1) if r / n >= target)
+    assert (rank - 1) / n < target
+    assert alpha == sorted(ratios)[rank - 1]
+    assert sum(r <= alpha for r in ratios) / n >= target
+    assert sum(r < alpha for r in ratios) / n < target
+
+
+def reference_events(forecast, vol, mask, window_days, target, recal_every):
+    """calibrate_alpha at every grid point: the loop calibration_events skips repeats of."""
+    start_minute = int(forecast.start_time.timestamp()) // 60
+    events = []
+    for k in range((-start_minute) % recal_every, len(forecast), recal_every):
+        try:
+            alpha = calibrate_alpha(forecast, vol, mask, k, window_days, target)
+        except UncalibratableWindowError:
+            alpha = None
+        events.append((k, alpha))
+    return events
+
+
+def reference_alpha(events, n):
+    """Per-slice fill: each event's multiplier, or the last success, holds until the next event."""
+    alpha = np.ones(n)
+    current = 1.0
+    for i, (k, value) in enumerate(events):
+        if value is not None:
+            current = value
+        nxt = events[i + 1][0] if i + 1 < len(events) else n
+        alpha[k:nxt] = current
+    return alpha
+
+
+def calibration_tracks(n, offset, seed, dawn, dusk, dropout, ties, gap_runs, outage=None):
+    """Tracks with jittered night runs, gap runs, dropouts and vol_pred zeros.
+
+    ``outage`` starts a 1.5-day gap, so a 1-day window can fail after a success.
+    """
+    rng = np.random.default_rng(seed)
+    day, minute_of_day = np.divmod(offset + np.arange(n), 1440)
+    # day-to-day jitter, so a window edge at night can meet daylight a day back
+    dawn = dawn + rng.integers(-90, 91, day[-1] + 1)[day]
+    dusk = dusk + rng.integers(-90, 91, day[-1] + 1)[day]
+    flags = (dawn <= minute_of_day) & (minute_of_day < dusk) & (rng.random(n) >= dropout)
+    vol = rng.exponential(1.0, n)
+    if ties:
+        vol = np.round(vol * 4) / 4
+    vol_pred = rng.uniform(0.0, 2.0, n)
+    vol_pred[rng.random(n) < 0.02] = 0.0
+    for _ in range(gap_runs):
+        lo = int(rng.integers(0, n))
+        vol[lo : lo + int(rng.integers(1, 2000))] = np.nan
+    if outage is not None:
+        vol[outage : outage + 2160] = np.nan
+    vol_pred[rng.random(n) < 0.01] = np.nan
+    start = START + timedelta(minutes=offset)
+    forecast = ForecastTrack(start, 60, np.zeros(n), vol)
+    volatility = VolatilityTrack(start, 60, vol, vol, vol_pred)
+    return forecast, volatility, DaylightMask(flags=flags, eps_day=0.0)
+
+
+@st.composite
+def calibration_inputs(draw):
+    dawn = draw(st.integers(0, 1440))
+    return calibration_tracks(
+        n=draw(st.one_of(st.integers(1, 3 * 1440), st.integers(1441, 3 * 1440))),  # often past a 1-day window
+        offset=draw(st.integers(0, 1439)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        dawn=dawn,
+        dusk=draw(st.integers(dawn, 1440)),
+        dropout=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        ties=draw(st.booleans()),
+        gap_runs=draw(st.integers(0, 4)),
+        outage=draw(st.none() | st.integers(0, 3 * 1440)),
+    )
+
+
+def _hex(events):
+    return [(k, None if a is None else a.hex()) for k, a in events]
+
+
+# Pinned: a grid point every minute or two, so each window edge crosses each dawn, dusk,
+# dropout and gap; and an hourly grid through an outage longer than the 1-day window.
+@example(calibration_tracks(3 * 1440, 7, 1, 360, 1080, 0.05, False, 2), 1, 1, 0.68)
+@example(calibration_tracks(3 * 1440, 1000, 2, 300, 1200, 0.5, True, 3), 2, 2, 0.9)
+@example(calibration_tracks(4 * 1440, 0, 3, 360, 1080, 0.05, False, 0, 1800), 60, 1, 0.68)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    tracks=calibration_inputs(),
+    recal_every=st.one_of(st.sampled_from([1, 2, 7, 60, 1440]), st.integers(1, 1440)),
+    window_days=st.one_of(st.just(1), st.integers(1, 10), st.just(10**12)),
+    target=st.one_of(st.just(0.68), targets),
+)
+def test_calibration_events_equal_calibrating_at_every_grid_point(
+    tracks, recal_every, window_days, target
+):
+    forecast, vol, mask = tracks
+    expected = reference_events(forecast, vol, mask, window_days, target, recal_every)
+    events = calibration_events(forecast, vol, mask, window_days, target, recal_every)
+    assert _hex(events) == _hex(expected)
+    band = calibrated_band(forecast, vol, mask, window_days, target, recal_every)
+    assert _hex(band.events) == _hex(expected)
+    assert band.alpha.tobytes() == reference_alpha(expected, len(forecast)).tobytes()

@@ -216,10 +216,13 @@ def test_out_of_range_flags_are_data_errors(tmp_path):
                "--window-days", "0") == cli.EXIT_DATA
     assert run("report", "--input", str(series_csv), "--output", str(tmp_path / "out"),
                "--window-days", "0") == cli.EXIT_DATA
-    # the daylight threshold is checked by the one daylight rule
-    assert run("bands", "--input", str(track_csv), "--output", str(tmp_path / "b.csv"),
-               "--eps-day", "-1") == cli.EXIT_DATA
-    assert run("normtest", "--input", str(track_csv), "--eps-day", "-1") == cli.EXIT_DATA
+    # the daylight threshold is checked by the one daylight rule; NaN would flag no sample
+    for eps_day in ("-1", "nan"):
+        assert run("bands", "--input", str(track_csv), "--output", str(tmp_path / "b.csv"),
+                   "--eps-day", eps_day) == cli.EXIT_DATA
+        assert run("normtest", "--input", str(track_csv), "--eps-day", eps_day) == cli.EXIT_DATA
+        assert run("report", "--input", str(series_csv), "--output", str(tmp_path / "out"),
+                   "--eps-day", eps_day) == cli.EXIT_DATA
 
 
 def test_bands_and_report_calibrate_once(tmp_path, monkeypatch):

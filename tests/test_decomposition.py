@@ -3,6 +3,8 @@ from math import fsum
 import numpy as np
 import pytest
 from conftest import make_series
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solarband.decomposition import extract_trend
 
@@ -89,6 +91,36 @@ def test_causality():
     d_after = extract_trend(make_series(tampered), 20)
     assert np.array_equal(d_before.trend[:60], d_after.trend[:60], equal_nan=True)
     assert np.array_equal(d_before.slope[:60], d_after.slope[:60], equal_nan=True)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    window=st.integers(2, 40),
+    extra=st.integers(0, 300),
+    cut_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    gap_rate=st.sampled_from([0.0, 0.02, 0.3]),
+)
+def test_later_samples_never_change_earlier_trend(window, extra, cut_frac, seed, gap_rate):
+    """Any rewrite of samples from ``cut`` on, gaps included, leaves trend/slope/fluctuation before it bitwise."""
+    rng = np.random.default_rng(seed)
+    n = window + extra
+    cut = int(cut_frac * n)
+
+    def gappy(size):
+        values = rng.uniform(0, 1200, size)
+        values[rng.random(size) < gap_rate] = np.nan
+        return values
+
+    values = gappy(n)
+    tampered = values.copy()
+    tampered[cut:] = gappy(n - cut)
+    before = extract_trend(make_series(values), window)
+    after = extract_trend(make_series(tampered), window)
+    for name in ("trend", "slope", "fluctuation"):
+        a, b = getattr(before, name)[:cut], getattr(after, name)[:cut]
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert np.array_equal(a[~np.isnan(a)].view(np.uint64), b[~np.isnan(b)].view(np.uint64))
 
 
 def test_linearity_in_observations():

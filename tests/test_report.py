@@ -5,14 +5,19 @@ from datetime import timedelta
 import numpy as np
 import pytest
 from conftest import START, all_daylight, make_series, run_pipeline_with_band
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from solarband import report
 from solarband.bands import BandTrack, calibrate_alpha, inside_band
 from solarband.forecast import ForecastTrack
+from solarband.normality import diff_histogram
 from solarband.risk import VolatilityTrack
 from solarband.report import (
     EmptyRangeError,
     NoScorableRecordsError,
     emit_plot,
+    render_histogram_svg,
     render_series_svg,
     score,
     scorecard_csv,
@@ -194,7 +199,71 @@ def test_series_plot_palette(tmp_path):
     assert 'stroke-dasharray' in svg and 'stroke="black"' in svg
 
 
+def test_subnormal_peak_plots_a_single_tick():
+    """A peak whose tick step underflows once crashed (5e-324) or looped forever (3e-323)."""
+    for peak in (5e-324, 3e-323):
+        assert report._nice_step(peak) == 1.0
+        svg = render_series_svg(make_series([0.0, peak]), None, None, 0, 2, "t")
+        assert svg.count('text-anchor="end">') == 2  # the tick at 0 and the axis label
+
+
 def test_unknown_kind_rejected(tmp_path):
     series, track, _, _, band = _pipeline_pieces()
     with pytest.raises(ValueError):
         emit_plot(series, track, band, "sparkline", tmp_path / "x.svg")
+
+
+def reference_polylines(canvas, xs, ys, defined, sx, sy, cls, style):
+    """The per-point formatter the array version replaced: one ``_fmt`` per coordinate."""
+    for start, stop in report._runs(defined):
+        points = " ".join(
+            f"{report._fmt(sx(xs[k]))},{report._fmt(sy(ys[k]))}" for k in range(start, stop)
+        )
+        canvas.add(f'<polyline class="{cls}" fill="none" {style} points="{points}"/>')
+
+
+def _with_reference_polylines(render, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "_polylines", reference_polylines)
+        return render(*args)
+
+
+plot_value = st.one_of(
+    st.just(0.0), st.floats(0.0, 2000.0), st.floats(1e6, 1e300), st.floats(0.0, 1e-3)
+)
+
+
+@st.composite
+def gappy_values(draw, n):
+    vals = np.array(draw(st.lists(plot_value, min_size=n, max_size=n)))
+    gaps = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return np.where(gaps, np.nan, vals)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(1, 120))
+def test_series_svg_equals_per_point_reference(data, n):
+    series = make_series(data.draw(gappy_values(n)))
+    forecast = band = None
+    if data.draw(st.booleans()):
+        forecast = _track(data.draw(gappy_values(n)), series.values)
+    if data.draw(st.booleans()):
+        lower = data.draw(gappy_values(n))
+        band = _band(lower, lower + np.nan_to_num(data.draw(gappy_values(n))))
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.one_of(st.just(lo + 1), st.integers(lo + 1, n)))  # single samples too
+    args = (series, forecast, band, lo, hi, "t")
+    assert render_series_svg(*args) == _with_reference_polylines(render_series_svg, *args)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    sample=st.lists(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)), min_size=1, max_size=300),
+    bins=st.integers(1, 80),
+)
+def test_histogram_svg_equals_per_point_reference(sample, bins):
+    try:
+        hist = diff_histogram(np.array(sample), bins)
+    except ValueError:  # np.histogram cannot split a range narrower than bins float steps
+        assume(False)
+    assert render_histogram_svg(hist, "h") == _with_reference_polylines(render_histogram_svg, hist, "h")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import START
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from solarband.forecast import ForecastTrack
 from solarband.risk import NoDefinedRecordsError, volatility_track
@@ -61,6 +63,24 @@ def test_vol_pred_matches_shift_oracle():
             assert np.isnan(v.vol_pred[t])
         else:
             assert v.vol_pred[t] == v.vol[t - h]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    n=st.integers(1, 300),
+    horizon=st.integers(1, 320),
+    seed=st.integers(0, 2**32 - 1),
+    gap_rate=st.sampled_from([0.0, 0.1, 0.6]),
+)
+def test_vol_pred_is_vol_shifted_by_exactly_horizon(n, horizon, seed, gap_rate):
+    rng = np.random.default_rng(seed)
+    predicted, realized = rng.uniform(0, 800, (2, n))
+    predicted[rng.random(n) < gap_rate] = np.nan
+    realized[rng.random(n) < gap_rate] = np.nan
+    assume(not np.isnan(realized - predicted).all())
+    v = volatility_track(_track(predicted, realized, horizon=horizon))
+    assert np.isnan(v.vol_pred[:horizon]).all()
+    assert v.vol_pred[horizon:].view(np.uint64).tolist() == v.vol[: max(n - horizon, 0)].view(np.uint64).tolist()
 
 
 def test_negating_diffs_leaves_vol_unchanged():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from solarband.series import MAX_GRID_MINUTES
 from solarband.synth import SynthConfig, generate, solar_elevation_sine
 
 
@@ -80,7 +81,12 @@ def test_invalid_configs_rejected():
         SynthConfig(day_of_year=0)
     with pytest.raises(ValueError):
         SynthConfig(days=0)
-    with pytest.raises(ValueError):
-        SynthConfig(clear_sky_peak=0.0)
+    # one day more than the readers' span cap would write a file no reader accepts
+    assert SynthConfig(days=MAX_GRID_MINUTES // 1440).days == 1830
+    with pytest.raises(ValueError, match=r"days must be in 1\.\.1830"):
+        SynthConfig(days=MAX_GRID_MINUTES // 1440 + 1)
+    for peak in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            SynthConfig(clear_sky_peak=peak)
     with pytest.raises(ValueError):
         SynthConfig(cloud_regime="foggy")
