@@ -78,6 +78,28 @@ def _calibratable(flags: np.ndarray, vol: np.ndarray, vol_pred: np.ndarray) -> n
     return eligible(flags, vol, vol_pred) & (vol_pred > 0)
 
 
+@dataclass(frozen=True, eq=False)
+class _Candidates:
+    """The calibratable ratios of one track pair, in time order.
+
+    ``before[i]`` counts calibratable records in ``[0, i)``, so the ratios of
+    the window ``[lo, k)`` are ``ratios[before[lo]:before[k]]``. ``ratios`` is
+    read-only: every window is a view of it.
+    """
+
+    vol: VolatilityTrack
+    mask: DaylightMask
+    ratios: np.ndarray
+    before: np.ndarray
+
+
+def _candidates(vol: VolatilityTrack, mask: DaylightMask) -> _Candidates:
+    keep = _calibratable(mask.flags, vol.vol, vol.vol_pred)
+    ratios = vol.vol[keep] / vol.vol_pred[keep]
+    ratios.setflags(write=False)
+    return _Candidates(vol, mask, ratios, np.concatenate(([0], np.cumsum(keep))))
+
+
 def fixed_band(forecast: ForecastTrack, vol: VolatilityTrack) -> BandTrack:
     """Band with unit width multiplier: predicted +/- vol_pred, clamped at 0."""
     check_aligned(forecast, vol)
@@ -107,6 +129,8 @@ def calibrate_alpha(
     at_index: int,
     window_days: int = DEFAULT_WINDOW_DAYS,
     target: float = DEFAULT_TARGET,
+    *,
+    candidates: _Candidates | None = None,
 ) -> float:
     """Smallest width multiplier whose trailing coverage reaches ``target``.
 
@@ -115,18 +139,23 @@ def calibrate_alpha(
     the ratios |realized - predicted| / vol_pred are the only candidate
     multipliers; coverage is nondecreasing in alpha, so the ceil(target*n)-th
     smallest ratio is the unique minimal solution.
+
+    ``candidates`` is the track-wide ratio record :func:`calibration_events`
+    builds once per pass and hands to every call; it must have been built
+    from this very ``vol`` and ``mask`` (ValueError otherwise). Without it
+    the record is built here from the tracks given.
     """
     _check_window(window_days, target)
     check_aligned(forecast, vol, mask)
     if not 0 <= at_index <= len(forecast):
         raise ValueError(f"at_index {at_index} outside [0, {len(forecast)}]")
+    if candidates is None:
+        candidates = _candidates(vol, mask)
+    elif candidates.vol is not vol or candidates.mask is not mask:
+        raise ValueError("candidates were built from another volatility track or mask")
     lo = max(0, at_index - window_days * MINUTES_PER_DAY)
-    window = slice(lo, at_index)
-
-    vol_win = vol.vol[window]
-    vol_pred_win = vol.vol_pred[window]
-    keep = _calibratable(mask.flags[window], vol_win, vol_pred_win)
-    ratios = vol_win[keep] / vol_pred_win[keep]
+    before = candidates.before
+    ratios = candidates.ratios[before[lo]:before[at_index]]
     if ratios.size == 0:
         raise UncalibratableWindowError(f"no eligible record before index {at_index}")
 
@@ -161,6 +190,8 @@ def calibration_events(
     window, so a grid point whose window gained and lost none since the
     previous point repeats that point's result without calling
     :func:`calibrate_alpha` (every window that slides through night does).
+    The calibratable ratios are computed once per pass; each call takes its
+    window as a slice of them.
     """
     if recal_every < 1:
         raise ValueError("recal_every must be >= 1")
@@ -171,8 +202,8 @@ def calibration_events(
     ks = np.arange((-start_minute) % recal_every, n, recal_every)
     # Python-int product, clamped to n: a huge window_days cannot overflow int64.
     los = np.maximum(ks - min(window_days * MINUTES_PER_DAY, n), 0)
-    before = np.concatenate(([0], np.cumsum(_calibratable(mask.flags, vol.vol, vol.vol_pred))))
-    entered, left = before[ks], before[los]
+    candidates = _candidates(vol, mask)
+    entered, left = candidates.before[ks], candidates.before[los]
     changed = np.ones(ks.size, dtype=bool)
     changed[1:] = (entered[1:] != entered[:-1]) | (left[1:] != left[:-1])
 
@@ -181,7 +212,9 @@ def calibration_events(
     for k, fresh in zip(ks.tolist(), changed.tolist()):
         if fresh:
             try:
-                alpha = calibrate_alpha(forecast, vol, mask, k, window_days, target)
+                alpha = calibrate_alpha(
+                    forecast, vol, mask, k, window_days, target, candidates=candidates
+                )
             except UncalibratableWindowError:
                 alpha = None
         events.append((k, alpha))

@@ -194,20 +194,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ValueError("--from and --to must be given together")
     else:
         zoom = _default_zoom(series)
-    report.zoom_range(series, zoom)  # a bad zoom fails before any file is written
+    report.zoom_range(series, zoom)  # a bad zoom fails before the pipeline runs
     track = _forecast_from_series(series, args.window_w, args.horizon)
     mask = daylight_mask(series, args.eps_day)
     band = _calibrated_band_from_track(track, mask, args)
 
+    # Every artifact is built before any is written, so a failure leaves none behind.
+    texts = {
+        "scorecard.csv": report.scorecard_csv(report.score(track, band, mask)),
+        "monthly.svg": report.emit_plot(series, track, band, "monthly", None),
+        "zoom.svg": report.emit_plot(series, track, band, "zoom", None, zoom=zoom),
+        "histogram.svg": report.emit_plot(
+            series, track, band, "histogram", None, eps_day=args.eps_day
+        ),
+    }
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    card = report.score(track, band, mask)
-    (out / "scorecard.csv").write_text(report.scorecard_csv(card))
-    report.emit_plot(series, track, band, "monthly", out / "monthly.svg")
-    report.emit_plot(series, track, band, "zoom", out / "zoom.svg", zoom=zoom)
-    report.emit_plot(
-        series, track, band, "histogram", out / "histogram.svg", eps_day=args.eps_day
-    )
+    for name, text in texts.items():
+        (out / name).write_text(text)
     return EXIT_OK
 
 

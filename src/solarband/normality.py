@@ -41,7 +41,7 @@ TABLE_SEED = 1956127
 
 
 class DegenerateSampleError(ValueError):
-    """Sample variance is zero; the test statistic is undefined."""
+    """Sample variance is zero, or its span cannot be binned: the statistic is undefined."""
 
 
 @dataclass(frozen=True)
@@ -361,7 +361,10 @@ def diff_histogram(x: np.ndarray, bins: int, curve_points: int = 257) -> Histogr
     Bins are equal-width over [min, max] (a degenerate span is widened by
     half a unit each side so the single bin still holds everything). The
     overlay is the normal density with the sample mean/std, scaled by
-    n * binwidth so curve and bars share the y axis.
+    n * binwidth so curve and bars share the y axis. A span that floats
+    cannot split into ``bins`` strictly increasing edges (narrower than
+    ``bins`` float steps, or wider than the largest float) raises
+    :class:`DegenerateSampleError`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
@@ -373,6 +376,10 @@ def diff_histogram(x: np.ndarray, bins: int, curve_points: int = 257) -> Histogr
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(lo, hi, bins + 1)
+    if not (edges[:-1] < edges[1:]).all():
+        raise DegenerateSampleError(f"span [{lo!r}, {hi!r}] cannot be split into {bins} bins")
     counts, bin_edges = np.histogram(x, bins=bins, range=(lo, hi))
     binwidth = (hi - lo) / bins
     mean = float(x.mean())

@@ -285,12 +285,12 @@ def emit_plot(
     forecast: ForecastTrack | None,
     band: BandTrack | None,
     kind: str,
-    out: str | Path,
+    out: str | Path | None,
     zoom: tuple[datetime, datetime] | None = None,
     eps_day: float = DEFAULT_EPS_DAY,
     bins: int = 60,
 ) -> str:
-    """Write one plot artifact and return its SVG text.
+    """Render one plot artifact, write it to ``out`` unless that is None, and return its SVG text.
 
     ``monthly`` draws the full span, ``zoom`` the [from, to) range, and
     ``histogram`` the daylight forecast-error distribution with its fitted
@@ -312,5 +312,6 @@ def emit_plot(
         text = render_series_svg(series, forecast, band, lo, hi, "irradiance (zoom)")
     else:
         text = render_series_svg(series, forecast, band, 0, len(series), "irradiance")
-    Path(out).write_text(text)
+    if out is not None:
+        Path(out).write_text(text)
     return text

@@ -6,6 +6,7 @@ from conftest import START, all_daylight, make_series, run_pipeline
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from solarband import bands
 from solarband.bands import (
     UncalibratableWindowError,
     calibrate_alpha,
@@ -243,6 +244,31 @@ def test_band_records_the_events_it_was_built_from():
     band = calibrated_band(track, vol, mask, window_days=1, recal_every=720)
     assert band.events == tuple(calibration_events(track, vol, mask, window_days=1, recal_every=720))
     assert fixed_band(track, vol).events == ()
+
+
+def test_one_pass_builds_the_ratio_record_once(monkeypatch):
+    _, track, vol, mask = run_pipeline(days=3, regime="broken", seed=4)
+    build, built = bands._candidates, []
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(bands, "_candidates", counting)
+    band = calibrated_band(track, vol, mask, window_days=1, recal_every=60)
+    assert len(band.events) == 72
+    assert len(built) == 1
+
+
+def test_calibrate_rejects_a_ratio_record_of_other_tracks():
+    f, v, mask = tracks_from_ratios(np.arange(1.0, 11.0))
+    record = bands._candidates(v, mask)
+    assert calibrate_alpha(f, v, mask, at_index=10, candidates=record) == 7.0
+    twin_v = VolatilityTrack(START, 60, v.diff, v.vol, v.vol_pred)  # equal arrays, another track
+    with pytest.raises(ValueError, match="candidates"):
+        calibrate_alpha(f, twin_v, mask, at_index=10, candidates=record)
+    with pytest.raises(ValueError, match="candidates"):
+        calibrate_alpha(f, v, all_daylight(10), at_index=10, candidates=record)
 
 
 @pytest.mark.parametrize("target, n", [(0.68, 25), (0.6, 5), (0.7, 10), (0.3, 10), (0.5, 2)])

@@ -5,6 +5,7 @@ from solarband import cli
 from solarband.bands import calibrated_band, calibration_events
 from solarband.decomposition import extract_trend
 from solarband.forecast import trend_forecast
+from solarband.normality import DegenerateSampleError
 from solarband.report import score, scorecard_csv
 from solarband.risk import volatility_track
 from solarband.series import DaylightMask, ingest_csv
@@ -286,3 +287,17 @@ def test_bad_zoom_writes_nothing(tmp_path):
     ):
         assert run("report", "--input", str(series_csv), "--output", str(outdir), *zoom) == cli.EXIT_DATA
         assert list(outdir.iterdir()) == []
+
+
+def test_failed_report_writes_nothing(tmp_path, monkeypatch):
+    series_csv = tmp_path / "series.csv"
+    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "12")
+
+    def unsplittable(sample, bins):
+        raise DegenerateSampleError(f"span cannot be split into {bins} bins")
+
+    monkeypatch.setattr("solarband.report.diff_histogram", unsplittable)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
+    assert list(outdir.iterdir()) == []

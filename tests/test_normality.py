@@ -234,6 +234,26 @@ def test_histogram_curve_integrates_to_sample_size():
     assert abs(integral - 10000) / 10000 < 0.02
 
 
+@pytest.mark.parametrize(
+    "sample, bins",
+    [
+        ([0.0, 5e-324], 60),  # a span narrower than bins float steps
+        ([1.0, 1.0000000000000002], 60),
+        ([1e16], 1),  # the +/-0.5 widening is absorbed at this magnitude
+        ([-1e308, 1e308], 1),  # a span wider than the largest float
+    ],
+)
+def test_histogram_unsplittable_span_is_degenerate(sample, bins):
+    with pytest.raises(DegenerateSampleError, match=f"into {bins} bins"):
+        diff_histogram(np.array(sample), bins)
+
+
+def test_histogram_narrow_span_that_splits_is_kept():
+    h = diff_histogram(np.array([0.0, 5e-324]), 1)
+    assert h.counts.tolist() == [2]
+    assert h.bin_edges.tolist() == [0.0, 5e-324]
+
+
 def test_histogram_validation():
     with pytest.raises(ValueError):
         diff_histogram(np.array([]), 5)
