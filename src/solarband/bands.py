@@ -16,7 +16,7 @@ import numpy as np
 
 from .forecast import ForecastTrack
 from .risk import VolatilityTrack
-from .series import DaylightMask, FrozenTrack, check_aligned
+from .series import DaylightMask, FrozenTrack, check_aligned, eligible
 
 DEFAULT_TARGET = 0.68
 DEFAULT_WINDOW_DAYS = 3
@@ -64,13 +64,6 @@ def inside_band(realized: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> n
     NaN on any side compares false.
     """
     return (lower <= realized) & (realized <= upper)
-
-
-def eligible(flags: np.ndarray, *fields: np.ndarray) -> np.ndarray:
-    """Daylight-flagged records with every field defined: the rule calibration and scoring share."""
-    for field in fields:
-        flags = flags & ~np.isnan(field)
-    return flags
 
 
 def _calibratable(flags: np.ndarray, vol: np.ndarray, vol_pred: np.ndarray) -> np.ndarray:
@@ -199,7 +192,8 @@ def calibration_events(
     check_aligned(forecast, vol, mask)
     n = len(forecast)
     start_minute = int(forecast.start_time.timestamp()) // 60
-    ks = np.arange((-start_minute) % recal_every, n, recal_every)
+    # Python ints clamped to the track: a huge recal_every cannot overflow int64.
+    ks = np.arange(min((-start_minute) % recal_every, n), n, min(recal_every, n + 1))
     # Python-int product, clamped to n: a huge window_days cannot overflow int64.
     los = np.maximum(ks - min(window_days * MINUTES_PER_DAY, n), 0)
     candidates = _candidates(vol, mask)

@@ -172,7 +172,8 @@ def _cmd_bands(args: argparse.Namespace) -> int:
 
 
 def _cmd_normtest(args: argparse.Namespace) -> int:
-    track = read_forecast_csv(Path(args.input).read_text(), args.horizon)
+    # The horizon is not in the file and the daylight errors do not depend on it.
+    track = read_forecast_csv(Path(args.input).read_text(), DEFAULT_HORIZON)
     text = normtest_report_csv(_run_normtests(track, args.eps_day, args.level))
     if args.output:
         Path(args.output).write_text(text)
@@ -202,11 +203,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # Every artifact is built before any is written, so a failure leaves none behind.
     texts = {
         "scorecard.csv": report.scorecard_csv(report.score(track, band, mask)),
-        "monthly.svg": report.emit_plot(series, track, band, "monthly", None),
-        "zoom.svg": report.emit_plot(series, track, band, "zoom", None, zoom=zoom),
-        "histogram.svg": report.emit_plot(
-            series, track, band, "histogram", None, eps_day=args.eps_day
-        ),
+        "monthly.svg": report.emit_plot(series, track, band, "monthly"),
+        "zoom.svg": report.emit_plot(series, track, band, "zoom", zoom=zoom),
+        "histogram.svg": report.emit_plot(series, track, band, "histogram", eps_day=args.eps_day),
     }
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normtest", help="forecast-track CSV -> normality reports")
     p.add_argument("--input", required=True, help="forecast-track CSV")
     p.add_argument("--output", help="report CSV (stdout when omitted)")
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     p.add_argument("--eps-day", type=float, default=DEFAULT_EPS_DAY)
     p.add_argument("--level", type=float, default=normality.DEFAULT_LEVEL)
     p.set_defaults(func=_cmd_normtest)

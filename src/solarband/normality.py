@@ -38,6 +38,7 @@ TABLE_SIZES = (
 TABLE_LEVELS = (0.20, 0.15, 0.10, 0.05, 0.01)
 TABLE_REPLICATES = 100_000
 TABLE_SEED = 1956127
+CURVE_POINTS = 257
 
 
 class DegenerateSampleError(ValueError):
@@ -121,7 +122,7 @@ def _supremum_distance(z_sorted: np.ndarray) -> np.ndarray:
     return np.maximum(d_plus, d_minus)
 
 
-def asymptotic_distance_quantile(level: float, tol: float = 1e-12) -> float:
+def asymptotic_distance_quantile(level: float) -> float:
     """Solve K(c) = 1 - level for the limiting sup-distance law by bisection.
 
     K(x) = 1 - 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 x^2); the series
@@ -136,7 +137,7 @@ def asymptotic_distance_quantile(level: float, tol: float = 1e-12) -> float:
 
     lo, hi = 0.05, 5.0
     target = 1.0 - level
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if cdf(mid) < target:
             lo = mid
@@ -240,7 +241,6 @@ def generate_table(
     seed: int = TABLE_SEED,
     replicates: int = TABLE_REPLICATES,
     sizes: list[int] | None = None,
-    levels: tuple[float, ...] = TABLE_LEVELS,
 ) -> list[tuple[int, float, float]]:
     """Simulate null critical values for the estimated-parameter test.
 
@@ -267,7 +267,7 @@ def generate_table(
             stats[done : done + m] = _supremum_distance(np.sort((samples - means) / stds, axis=1))
             done += m
         stats.sort()
-        for level in levels:
+        for level in TABLE_LEVELS:
             rank = math.ceil((1.0 - level) * replicates)
             rows.append((n, level, float(stats[rank - 1])))
     return rows
@@ -305,11 +305,7 @@ def _packaged_table() -> dict[float, list[tuple[int, float]]]:
     return _PACKAGED_TABLE
 
 
-def lilliefors_critical(
-    n: int,
-    level: float = DEFAULT_LEVEL,
-    table: dict[float, list[tuple[int, float]]] | None = None,
-) -> float:
+def lilliefors_critical(n: int, level: float = DEFAULT_LEVEL) -> float:
     """Critical value for the estimated-parameter test at sample size ``n``.
 
     Exact at tabulated sizes. Between sizes, critical * sqrt(n) is
@@ -317,7 +313,7 @@ def lilliefors_critical(
     with a slowly varying constant); beyond the largest size the constant
     is held fixed.
     """
-    table = _packaged_table() if table is None else table
+    table = _packaged_table()
     if level not in table:
         available = ", ".join(str(lv) for lv in sorted(table, reverse=True))
         raise ValueError(f"level {level} not tabulated (available: {available})")
@@ -355,16 +351,16 @@ class Histogram:
     sample_std: float
 
 
-def diff_histogram(x: np.ndarray, bins: int, curve_points: int = 257) -> Histogram:
+def diff_histogram(x: np.ndarray, bins: int) -> Histogram:
     """Histogram of a sample with a normal overlay scaled to count units.
 
     Bins are equal-width over [min, max] (a degenerate span is widened by
     half a unit each side so the single bin still holds everything). The
-    overlay is the normal density with the sample mean/std, scaled by
-    n * binwidth so curve and bars share the y axis. A span that floats
-    cannot split into ``bins`` strictly increasing edges (narrower than
-    ``bins`` float steps, or wider than the largest float) raises
-    :class:`DegenerateSampleError`.
+    overlay is the normal density with the sample mean/std at ``CURVE_POINTS``
+    points, scaled by n * binwidth so curve and bars share the y axis. A
+    span that floats cannot split into ``bins`` strictly increasing edges
+    (narrower than ``bins`` float steps, or wider than the largest float)
+    raises :class:`DegenerateSampleError`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
@@ -384,7 +380,7 @@ def diff_histogram(x: np.ndarray, bins: int, curve_points: int = 257) -> Histogr
     binwidth = (hi - lo) / bins
     mean = float(x.mean())
     std = float(x.std())
-    curve_x = np.linspace(lo, hi, curve_points)
+    curve_x = np.linspace(lo, hi, CURVE_POINTS)
     if std > 0:
         density = np.exp(-0.5 * ((curve_x - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
         curve_y = density * x.size * binwidth

@@ -10,19 +10,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from pathlib import Path
 
 import numpy as np
 
-from .bands import BandTrack, eligible, inside_band
+from .bands import BandTrack, inside_band
 from .forecast import ForecastTrack
 from .normality import Histogram, diff_histogram
 from .risk import daylight_errors
-from .series import DEFAULT_EPS_DAY, DaylightMask, IrradianceSeries, check_aligned, daylight_mask
+from .series import (
+    DEFAULT_EPS_DAY,
+    DaylightMask,
+    IrradianceSeries,
+    check_aligned,
+    daylight_mask,
+    eligible,
+)
 
 SCORECARD_HEADER = "rmse,mae,nrmse,coverage,mean_band_width,n_scored"
 
 PLOT_KINDS = ("monthly", "zoom", "histogram")
+HISTOGRAM_BINS = 60
 
 _WIDTH, _HEIGHT = 960, 480
 _ML, _MR, _MT, _MB = 62, 16, 28, 44
@@ -98,8 +105,8 @@ def _fmt(px: float) -> str:
     return f"{px:.2f}"
 
 
-def _nice_step(span: float, max_ticks: int = 6) -> float:
-    raw = span / max_ticks
+def _nice_step(span: float) -> float:
+    raw = span / 6  # at most six ticks
     # A step that underflows to 0 would never end the tick loops: one tick at 0.
     power = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
     if power == 0.0:
@@ -285,12 +292,10 @@ def emit_plot(
     forecast: ForecastTrack | None,
     band: BandTrack | None,
     kind: str,
-    out: str | Path | None,
     zoom: tuple[datetime, datetime] | None = None,
     eps_day: float = DEFAULT_EPS_DAY,
-    bins: int = 60,
 ) -> str:
-    """Render one plot artifact, write it to ``out`` unless that is None, and return its SVG text.
+    """Render one plot artifact and return its SVG text; the caller writes it.
 
     ``monthly`` draws the full span, ``zoom`` the [from, to) range, and
     ``histogram`` the daylight forecast-error distribution with its fitted
@@ -304,14 +309,11 @@ def emit_plot(
         sample = daylight_errors(forecast, daylight_mask(series, eps_day))
         if sample.size == 0:
             raise EmptyRangeError("no daylight forecast errors to bin")
-        text = render_histogram_svg(diff_histogram(sample, bins), "forecast error distribution")
-    elif kind == "zoom":
+        hist = diff_histogram(sample, HISTOGRAM_BINS)
+        return render_histogram_svg(hist, "forecast error distribution")
+    if kind == "zoom":
         if zoom is None:
             raise ValueError("zoom kind needs a (from, to) range")
         lo, hi = zoom_range(series, zoom)
-        text = render_series_svg(series, forecast, band, lo, hi, "irradiance (zoom)")
-    else:
-        text = render_series_svg(series, forecast, band, 0, len(series), "irradiance")
-    if out is not None:
-        Path(out).write_text(text)
-    return text
+        return render_series_svg(series, forecast, band, lo, hi, "irradiance (zoom)")
+    return render_series_svg(series, forecast, band, 0, len(series), "irradiance")

@@ -8,7 +8,7 @@ from datetime import datetime
 import numpy as np
 
 from .forecast import ForecastTrack
-from .series import DaylightMask, FrozenTrack, check_aligned
+from .series import DaylightMask, FrozenTrack, check_aligned, eligible
 
 
 class NoDefinedRecordsError(ValueError):
@@ -58,4 +58,4 @@ def daylight_errors(track: ForecastTrack, mask: DaylightMask) -> np.ndarray:
     """Defined errors realized - predicted at daylight times, as tested and histogrammed."""
     check_aligned(track, mask)
     diff = track.realized - track.predicted
-    return diff[mask.flags & ~np.isnan(diff)]
+    return diff[eligible(mask.flags, diff)]

@@ -116,10 +116,6 @@ class IrradianceSeries(FrozenTrack):
             self.values, other.values, equal_nan=True
         )
 
-    @property
-    def cadence(self) -> timedelta:
-        return CADENCE
-
     def time_at(self, index: int) -> datetime:
         return self.start_time + index * CADENCE
 
@@ -149,6 +145,13 @@ class DaylightMask(FrozenTrack):
         if not isinstance(other, DaylightMask):
             return NotImplemented
         return self.eps_day == other.eps_day and np.array_equal(self.flags, other.flags)
+
+
+def eligible(flags: np.ndarray, *fields: np.ndarray) -> np.ndarray:
+    """Daylight-flagged records with every field defined: the one eligibility rule."""
+    for field in fields:
+        flags = flags & ~np.isnan(field)
+    return flags
 
 
 def daylight_mask(series: IrradianceSeries, eps_day: float = DEFAULT_EPS_DAY) -> DaylightMask:
@@ -197,8 +200,14 @@ def parse_timestamp(text: str) -> datetime:
     return _EPOCH + timedelta(minutes=int(minute[0]), seconds=int(second[0]))
 
 
+def _stamps(start: datetime, k: np.ndarray) -> list[str]:
+    """Zero-padded ``YYYY-MM-DDTHH:MM:SSZ`` stamps of the grid minutes ``k`` after ``start``."""
+    origin = np.datetime64(start.replace(tzinfo=None), "m")
+    return np.datetime_as_string(origin + k, unit="s", timezone="UTC").tolist()
+
+
 def format_timestamp(when: datetime) -> str:
-    return when.strftime("%Y-%m-%dT%H:%M:00Z")
+    return _stamps(when, np.zeros(1, dtype=np.int64))[0]
 
 
 def format_value(value: float) -> str:
@@ -335,13 +344,11 @@ def write_grid_csv(header: str, start: datetime, keep: np.ndarray, *columns: np.
     Rows are joined ``_WRITE_CHUNK`` at a time, so no per-row string outlives its chunk.
     """
     idx = np.flatnonzero(keep)
-    origin = np.datetime64(start.replace(tzinfo=None), "m")
     chunks = [header]
     for lo in range(0, idx.size, _WRITE_CHUNK):
         k = idx[lo : lo + _WRITE_CHUNK]
-        stamps = np.datetime_as_string(origin + k, unit="s", timezone="UTC").tolist()
         cells = ([_cell(v) for v in column[k].tolist()] for column in columns)
-        chunks.append("\n".join(map(",".join, zip(stamps, *cells))))
+        chunks.append("\n".join(map(",".join, zip(_stamps(start, k), *cells))))
     return "\n".join(chunks) + "\n"
 
 

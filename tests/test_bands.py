@@ -211,6 +211,12 @@ def test_recalibration_grid_is_absolute():
         assert cut[k - offset] == full[k]
 
 
+def test_recal_every_past_int64_gives_no_grid_point():
+    _, track, vol, mask = run_pipeline(days=2, regime="broken", seed=4)
+    for recal_every in (2**62, 2**63, 2**64, 10**400):  # all but 2**62 once raised IndexError
+        assert calibration_events(track, vol, mask, recal_every=recal_every) == []
+
+
 def test_lower_never_exceeds_upper():
     _, track, vol, mask = run_pipeline(days=4, regime="broken", seed=8)
     band = calibrated_band(track, vol, mask)

@@ -162,9 +162,10 @@ def test_lilliefors_table_subcommand(tmp_path):
 
 def test_exit_codes(tmp_path):
     # usage error: argparse exits 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == cli.EXIT_USAGE
+    for argv in (["frobnicate"], ["normtest", "--input", "t.csv", "--horizon", "30"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
     # data error: missing input file
     assert run("forecast", "--input", str(tmp_path / "nope.csv"),
                "--output", str(tmp_path / "o.csv")) == cli.EXIT_DATA
@@ -180,6 +181,17 @@ def test_exit_codes(tmp_path):
     run("forecast", "--input", str(series_csv), "--output", str(track_csv))
     assert run("bands", "--input", str(track_csv), "--output",
                str(tmp_path / "b.csv")) == cli.EXIT_UNCALIBRATABLE
+
+
+def test_any_recal_every_beyond_the_track_is_uncalibratable(tmp_path):
+    """A step past int64 once crashed with IndexError; each leaves the track without a grid point."""
+    series_csv = tmp_path / "series.csv"
+    track_csv = tmp_path / "track.csv"
+    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "4")
+    run("forecast", "--input", str(series_csv), "--output", str(track_csv))
+    for recal_every in (2**62, 2**63 - 1, 2**63, 2**64, 10**400):
+        assert run("bands", "--input", str(track_csv), "--output", str(tmp_path / "b.csv"),
+                   "--recal-every", str(recal_every)) == cli.EXIT_UNCALIBRATABLE
 
 
 def test_negative_value_is_data_error(tmp_path):

@@ -244,6 +244,14 @@ def test_grid_span_is_capped():
         read_track(f"{cli.FORECAST_CSV_HEADER}\n{stamp(0)},1,1\n{too_far},2,2\n")
 
 
+@pytest.mark.parametrize("year", [1, 5, 999, 1000, 2021, 9999])
+def test_timestamp_round_trips_and_equals_the_writers_stamp(year):
+    when = datetime(year, 3, 1, 12, 0, tzinfo=timezone.utc)
+    stamp = format_timestamp(when)
+    assert parse_timestamp(stamp) == when
+    assert emit_csv(IrradianceSeries(when, [1.0])) == f"{CSV_HEADER}\n{stamp},1.0\n"
+
+
 def test_parse_timestamp_uses_the_csv_stamp_rule():
     assert parse_timestamp("2021-03-01T00:00:30Z") == T0 + timedelta(seconds=30)
     for text in ("2021-3-01T00:00:00Z", "2021-03-01t00:00:00z", "2021-03-01T00:00:00", "0000-01-01T00:00:00Z",

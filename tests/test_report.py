@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from solarband import report
 from solarband.bands import BandTrack, calibrate_alpha, inside_band
 from solarband.forecast import ForecastTrack
-from solarband.normality import DegenerateSampleError, diff_histogram
+from solarband.normality import CURVE_POINTS, DegenerateSampleError, diff_histogram
 from solarband.risk import VolatilityTrack
 from solarband.report import (
     EmptyRangeError,
@@ -140,12 +140,11 @@ def _pipeline_pieces():
     return run_pipeline_with_band(days=3, regime="broken", seed=20)
 
 
-def test_svg_deterministic(tmp_path):
+def test_svg_deterministic():
     series, track, _, _, band = _pipeline_pieces()
-    a = emit_plot(series, track, band, "monthly", tmp_path / "a.svg")
-    b = emit_plot(series, track, band, "monthly", tmp_path / "b.svg")
+    a = emit_plot(series, track, band, "monthly")
+    b = emit_plot(series, track, band, "monthly")
     assert a == b
-    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
 
 def _measured_point_count(svg):
@@ -153,9 +152,9 @@ def _measured_point_count(svg):
     return sum(len(p.split()) for p in points)
 
 
-def test_polyline_points_match_defined_samples(tmp_path):
+def test_polyline_points_match_defined_samples():
     series, track, _, _, band = _pipeline_pieces()
-    svg = emit_plot(series, track, band, "monthly", tmp_path / "m.svg")
+    svg = emit_plot(series, track, band, "monthly")
     assert _measured_point_count(svg) == int((~np.isnan(series.values)).sum())
 
 
@@ -167,33 +166,36 @@ def test_polyline_points_with_gaps():
     assert svg.count('class="measured"') == 3  # three contiguous runs
 
 
-def test_zoom_range(tmp_path):
+def test_zoom_range():
     series, track, _, _, band = _pipeline_pieces()
     zoom = (series.start_time + timedelta(days=1), series.start_time + timedelta(days=2))
-    svg = emit_plot(series, track, band, "zoom", tmp_path / "z.svg", zoom=zoom)
+    svg = emit_plot(series, track, band, "zoom", zoom=zoom)
     assert _measured_point_count(svg) == 1440
 
 
-def test_empty_zoom_range_raises(tmp_path):
+def test_empty_zoom_range_raises():
     series, track, _, _, band = _pipeline_pieces()
     zoom = (series.start_time + timedelta(days=9), series.start_time + timedelta(days=10))
     with pytest.raises(EmptyRangeError):
-        emit_plot(series, track, band, "zoom", tmp_path / "z.svg", zoom=zoom)
+        emit_plot(series, track, band, "zoom", zoom=zoom)
     with pytest.raises(EmptyRangeError):
-        emit_plot(series, track, band, "zoom", tmp_path / "z.svg",
-                  zoom=(series.start_time, series.start_time))
+        emit_plot(series, track, band, "zoom", zoom=(series.start_time, series.start_time))
 
 
-def test_histogram_plot_palette(tmp_path):
+def test_histogram_plot_palette():
     series, track, _, _, band = _pipeline_pieces()
-    svg = emit_plot(series, track, band, "histogram", tmp_path / "h.svg")
+    svg = emit_plot(series, track, band, "histogram")
     assert 'class="diff-bin"' in svg and 'fill="blue"' in svg
     assert 'class="normal-curve"' in svg and 'stroke="red"' in svg
+    assert svg.count('class="diff-bin"') == report.HISTOGRAM_BINS
+    (curve,) = re.findall(r'class="normal-curve"[^/]*points="([^"]*)"', svg)
+    assert len(curve.split()) == CURVE_POINTS
+    assert diff_histogram(np.array([0.0, 1.0, 3.0]), 5).curve_x.size == CURVE_POINTS
 
 
-def test_series_plot_palette(tmp_path):
+def test_series_plot_palette():
     series, track, _, _, band = _pipeline_pieces()
-    svg = emit_plot(series, track, band, "monthly", tmp_path / "m.svg")
+    svg = emit_plot(series, track, band, "monthly")
     assert 'stroke="blue"' in svg
     assert 'stroke="red"' in svg
     assert 'stroke-dasharray' in svg and 'stroke="black"' in svg
@@ -207,10 +209,10 @@ def test_subnormal_peak_plots_a_single_tick():
         assert svg.count('text-anchor="end">') == 2  # the tick at 0 and the axis label
 
 
-def test_unknown_kind_rejected(tmp_path):
+def test_unknown_kind_rejected():
     series, track, _, _, band = _pipeline_pieces()
     with pytest.raises(ValueError):
-        emit_plot(series, track, band, "sparkline", tmp_path / "x.svg")
+        emit_plot(series, track, band, "sparkline")
 
 
 def reference_polylines(canvas, xs, ys, defined, sx, sy, cls, style):
