@@ -43,8 +43,6 @@ class BandTrack(FrozenTrack):
     lower: np.ndarray
     upper: np.ndarray
     alpha: np.ndarray
-    window_days: int | None
-    target: float | None
     events: tuple[tuple[int, float | None], ...] = ()
 
     _arrays = ("lower", "upper", "alpha")
@@ -66,9 +64,11 @@ def inside_band(realized: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> n
     return (lower <= realized) & (realized <= upper)
 
 
-def _calibratable(flags: np.ndarray, vol: np.ndarray, vol_pred: np.ndarray) -> np.ndarray:
-    """Records whose ratio vol / vol_pred is a candidate multiplier: eligible, vol_pred > 0."""
-    return eligible(flags, vol, vol_pred) & (vol_pred > 0)
+def _ratios(vol: VolatilityTrack, mask: DaylightMask, span: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Calibratable records of ``span`` (eligible, vol_pred > 0) and their ratios vol / vol_pred."""
+    v, v_pred = vol.vol[span], vol.vol_pred[span]
+    keep = eligible(mask.flags[span], v, v_pred) & (v_pred > 0)
+    return keep, v[keep] / v_pred[keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +87,7 @@ class _Candidates:
 
 
 def _candidates(vol: VolatilityTrack, mask: DaylightMask) -> _Candidates:
-    keep = _calibratable(mask.flags, vol.vol, vol.vol_pred)
-    ratios = vol.vol[keep] / vol.vol_pred[keep]
+    keep, ratios = _ratios(vol, mask, slice(None))
     ratios.setflags(write=False)
     return _Candidates(vol, mask, ratios, np.concatenate(([0], np.cumsum(keep))))
 
@@ -103,8 +102,6 @@ def fixed_band(forecast: ForecastTrack, vol: VolatilityTrack) -> BandTrack:
         lower=lower,
         upper=upper,
         alpha=alpha,
-        window_days=None,
-        target=None,
     )
 
 
@@ -136,19 +133,20 @@ def calibrate_alpha(
     ``candidates`` is the track-wide ratio record :func:`calibration_events`
     builds once per pass and hands to every call; it must have been built
     from this very ``vol`` and ``mask`` (ValueError otherwise). Without it
-    the record is built here from the tracks given.
+    only the window's own ratios are computed, by the same rule.
     """
     _check_window(window_days, target)
     check_aligned(forecast, vol, mask)
     if not 0 <= at_index <= len(forecast):
         raise ValueError(f"at_index {at_index} outside [0, {len(forecast)}]")
+    lo = max(0, at_index - window_days * MINUTES_PER_DAY)
     if candidates is None:
-        candidates = _candidates(vol, mask)
+        ratios = _ratios(vol, mask, slice(lo, at_index))[1]
     elif candidates.vol is not vol or candidates.mask is not mask:
         raise ValueError("candidates were built from another volatility track or mask")
-    lo = max(0, at_index - window_days * MINUTES_PER_DAY)
-    before = candidates.before
-    ratios = candidates.ratios[before[lo]:before[at_index]]
+    else:
+        before = candidates.before
+        ratios = candidates.ratios[before[lo]:before[at_index]]
     if ratios.size == 0:
         raise UncalibratableWindowError(f"no eligible record before index {at_index}")
 
@@ -244,7 +242,5 @@ def calibrated_band(
         lower=lower,
         upper=upper,
         alpha=alpha,
-        window_days=window_days,
-        target=target,
         events=tuple(events),
     )

@@ -101,16 +101,12 @@ def _run_normtests(track: ForecastTrack, eps_day: float, level: float):
     sample = risk.daylight_errors(track, _track_daylight(track, eps_day))
     if sample.size < normality.MIN_SAMPLES:
         raise ValueError(f"only {sample.size} daylight error samples, need >= {normality.MIN_SAMPLES}")
-    std = float(sample.std(ddof=1))
-    if std == 0.0:
-        raise normality.DegenerateSampleError("degenerate sample: zero variance")
-    # The fixed-reference test gets the sample standardized by its own
-    # moments, which makes it approximate; the estimated-parameter test
-    # handles that case exactly and is reported alongside.
-    standardized = (sample - sample.mean()) / std
+    # jarque_bera runs first and refuses zero variance or moments beyond double
+    # range. ks_normal is declared the sample's own moments, which makes it
+    # approximate; lilliefors handles that case exactly and is reported alongside.
     return [
         normality.jarque_bera(sample, level),
-        normality.ks_normal(standardized, level),
+        normality.ks_normal(sample, level, sample.mean(), sample.std(ddof=1)),
         normality.lilliefors(sample, level),
     ]
 
@@ -145,6 +141,9 @@ def _forecast_from_series(series: IrradianceSeries, window: int, horizon: int) -
 def _cmd_forecast(args: argparse.Namespace) -> int:
     series = _read_series(args.input)
     track = _forecast_from_series(series, args.window_w, args.horizon)
+    if np.isnan(track.predicted).all():
+        raise ValueError(f"no defined prediction: each needs a gap-free --window-w {args.window_w} "
+                         f"trend window ending --horizon {args.horizon} minutes earlier")
     Path(args.output).write_text(write_forecast_csv(track))
     return EXIT_OK
 
@@ -296,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     except bands_mod.UncalibratableWindowError as exc:
         print(f"solarband {args.subcommand}: uncalibratable window: {exc}", file=sys.stderr)
         return EXIT_UNCALIBRATABLE
-    except (SeriesCsvError, TrackCsvError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SeriesCsvError and TrackCsvError included
         print(f"solarband {args.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -31,7 +31,6 @@ class Decomposition(FrozenTrack):
     trend: np.ndarray
     fluctuation: np.ndarray
     slope: np.ndarray
-    window: int
 
     _arrays = ("trend", "fluctuation", "slope")
 
@@ -72,5 +71,4 @@ def extract_trend(series: IrradianceSeries, window: int = DEFAULT_WINDOW) -> Dec
         trend=trend,
         fluctuation=fluctuation,
         slope=slope,
-        window=window,
     )

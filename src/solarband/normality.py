@@ -42,7 +42,7 @@ CURVE_POINTS = 257
 
 
 class DegenerateSampleError(ValueError):
-    """Sample variance is zero, or its span cannot be binned: the statistic is undefined."""
+    """Sample variance is zero or out of double range, or its span cannot be binned."""
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,6 @@ class NormalityReport:
     threshold: float
     level: float
     reject: bool
-    sample_mean: float
-    sample_std: float
 
 
 def _validate_sample(x: np.ndarray, level: float) -> np.ndarray:
@@ -78,7 +76,8 @@ def jarque_bera(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
     Parameters
     ----------
     x : array_like, 1d
-        Sample, at least 8 finite values with positive variance.
+        Sample, at least 8 finite values with positive variance and moments
+        in double range (else :class:`DegenerateSampleError`).
     level : float
         Significance level; the critical value is the chi-square(2)
         quantile at 1 - level.
@@ -90,12 +89,13 @@ def jarque_bera(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
     """
     x = _validate_sample(x, level)
     n = x.size
-    centered = x - x.mean()
-    m2 = float(np.mean(centered**2))
-    if m2 == 0.0:
-        raise DegenerateSampleError("degenerate sample: zero variance")
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean()
+        m2, m3, m4 = (float(np.mean(centered**p)) for p in (2, 3, 4))
+    if not np.isfinite((m2, m3, m4)).all():
+        raise DegenerateSampleError("degenerate sample: its moments overflow double precision")
+    if m2**2 == 0.0:  # m2 ** 1.5 and m2 ** 2 divide below
+        raise DegenerateSampleError(f"degenerate sample: variance {m2!r} is zero or its square underflows")
     skewness = m3 / m2**1.5
     excess_kurtosis = m4 / m2**2 - 3.0
     statistic = n / 6.0 * (skewness**2 + excess_kurtosis**2 / 4.0)
@@ -107,8 +107,6 @@ def jarque_bera(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
         threshold=threshold,
         level=level,
         reject=statistic > threshold,
-        sample_mean=float(x.mean()),
-        sample_std=math.sqrt(m2),
     )
 
 
@@ -163,7 +161,7 @@ def ks_normal(
     mean, std : float
         Reference parameters. These are declared by the caller, not fitted;
         standardizing by the sample's own moments changes the null law and
-        belongs to :func:`lilliefors`.
+        belongs to :func:`lilliefors`. Both must be finite, ``std`` > 0.
 
     Notes
     -----
@@ -171,8 +169,8 @@ def ks_normal(
     scaled supremum distance.
     """
     x = _validate_sample(x, level)
-    if std <= 0:
-        raise ValueError("reference std must be > 0")
+    if not (math.isfinite(mean) and 0 < std < math.inf):
+        raise ValueError("reference mean must be finite and reference std finite and > 0")
     if np.var(x) == 0.0:
         raise DegenerateSampleError("degenerate sample: zero variance")
     n = x.size
@@ -185,17 +183,16 @@ def ks_normal(
         threshold=threshold,
         level=level,
         reject=statistic > threshold,
-        sample_mean=float(mean),
-        sample_std=float(std),
     )
 
 
 def lilliefors_statistic(x: np.ndarray) -> float:
     """Sup distance after standardizing by the sample mean and std (ddof=1)."""
     x = np.asarray(x, dtype=float)
-    std = float(x.std(ddof=1))
-    if std == 0.0:
-        raise DegenerateSampleError("degenerate sample: zero variance")
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(x.std(ddof=1))
+    if not 0.0 < std < math.inf:
+        raise DegenerateSampleError(f"degenerate sample: std {std!r} is zero or overflows")
     return float(_supremum_distance(np.sort((x - x.mean()) / std)))
 
 
@@ -227,8 +224,6 @@ def lilliefors(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
         threshold=threshold,
         level=level,
         reject=statistic > threshold,
-        sample_mean=float(x.mean()),
-        sample_std=float(x.std(ddof=1)),
     )
 
 
@@ -347,8 +342,6 @@ class Histogram:
     counts: np.ndarray
     curve_x: np.ndarray
     curve_y: np.ndarray
-    sample_mean: float
-    sample_std: float
 
 
 def diff_histogram(x: np.ndarray, bins: int) -> Histogram:
@@ -391,6 +384,4 @@ def diff_histogram(x: np.ndarray, bins: int) -> Histogram:
         counts=counts,
         curve_x=curve_x,
         curve_y=curve_y,
-        sample_mean=mean,
-        sample_std=std,
     )

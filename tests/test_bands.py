@@ -266,6 +266,22 @@ def test_one_pass_builds_the_ratio_record_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_standalone_call_computes_only_its_window(monkeypatch):
+    """Without a ratio record, a call reads its trailing window, not the whole track."""
+    f, v, mask = calibration_tracks(10 * 1440, 0, 5, 360, 1080, 0.05, False, 2)
+    check, sizes = bands.eligible, []
+
+    def recording(flags, *fields):
+        sizes.append(flags.size)
+        return check(flags, *fields)
+
+    monkeypatch.setattr(bands, "eligible", recording)
+    alpha = calibrate_alpha(f, v, mask, at_index=5 * 1440, window_days=1)
+    assert sizes and max(sizes) <= 1440
+    record = bands._candidates(v, mask)
+    assert alpha == calibrate_alpha(f, v, mask, at_index=5 * 1440, window_days=1, candidates=record)
+
+
 def test_calibrate_rejects_a_ratio_record_of_other_tracks():
     f, v, mask = tracks_from_ratios(np.arange(1.0, 11.0))
     record = bands._candidates(v, mask)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -313,3 +315,33 @@ def test_failed_report_writes_nothing(tmp_path, monkeypatch):
     outdir.mkdir()
     assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
     assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("horizon", ["3000", "2800"])
+def test_forecast_with_no_defined_prediction_is_a_data_error(tmp_path, capsys, horizon):
+    """On 2,880 samples, 3000 passes the series and 2800 leaves no full trend window that far back."""
+    series_csv = tmp_path / "series.csv"
+    track_csv = tmp_path / "track.csv"
+    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "9")
+    assert run("forecast", "--input", str(series_csv), "--output", str(track_csv),
+               "--horizon", horizon) == cli.EXIT_DATA
+    assert "no defined prediction" in capsys.readouterr().err
+    assert not track_csv.exists()
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e200])
+def test_normtest_moments_beyond_double_range_are_a_data_error(tmp_path, capsys, scale):
+    """At 1e80 jarque_bera's m2**2 raised OverflowError (exit 1); at 1e200 it blamed zero variance."""
+    rng = np.random.default_rng(10)
+    realized = scale * rng.uniform(1.0, 3.0, 200)
+    rows = [
+        f"2021-06-01T{10 + k // 60:02d}:{k % 60:02d}:00Z,{scale!r},{value!r}"
+        for k, value in enumerate(realized.tolist())
+    ]
+    track_csv = tmp_path / "track.csv"
+    track_csv.write_text("\n".join([cli.FORECAST_CSV_HEADER, *rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("normtest", "--input", str(track_csv)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "DegenerateSampleError" in err and "overflow" in err

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import kolmogi
 from scipy.stats import norm
 
@@ -108,6 +111,39 @@ def test_ks_consistent_relabeling():
     assert abs(base.statistic - moved.statistic) < 1e-10
 
 
+@st.composite
+def _samples(draw):
+    """Hand-picked floats, or a seeded normal sample at a drawn scale and offset."""
+    if draw(st.booleans()):
+        values = st.floats(-1e150, 1e150, allow_nan=False)
+        return np.array(draw(st.lists(values, min_size=8, max_size=60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    return rng.standard_normal(draw(st.integers(8, 300))) * scale + draw(st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(x=_samples(), level=st.sampled_from([0.2, 0.1, 0.05, 0.01]))
+def test_ks_given_the_samples_moments_equals_ks_on_the_standardized_sample(x, level):
+    """The CLI declares the sample's own moments; that must be bit for bit the old standardizing."""
+    mean, std = x.mean(), x.std(ddof=1)
+    assume(0 < std < math.inf)
+    standardized = (x - mean) / std
+    assume(np.var(x) > 0 and np.var(standardized) > 0)
+    declared = ks_normal(x, level, mean, std)
+    by_hand = ks_normal(standardized, level)
+    assert declared.statistic.hex() == by_hand.statistic.hex()
+    assert declared.threshold.hex() == by_hand.threshold.hex()
+    assert declared.reject == by_hand.reject
+
+
+@pytest.mark.parametrize("mean, std", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan),
+                                       (0.0, math.inf), (0.0, 0.0), (0.0, -1.0)])
+def test_ks_rejects_a_nonfinite_or_nonpositive_reference(mean, std):
+    with pytest.raises(ValueError, match="reference"):
+        ks_normal(np.random.default_rng(3).standard_normal(50), 0.05, mean, std)
+
+
 def test_ks_critical_constant_from_series():
     # independent oracle: scipy's inverse of the asymptotic law
     for level in (0.20, 0.10, 0.05, 0.01):
@@ -199,6 +235,34 @@ def test_power_exceeds_size_on_bimodal_mixture():
         null = _rejection_rate(test, _gaussian, replicates=200, seed=4000)
         alt = _rejection_rate(test, _mixture, replicates=200, seed=4000)
         assert alt > null, test.__name__
+
+
+def _refused_without_warnings(test, x, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSampleError, match=match):
+            test(x)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e160, 1e200, 1e300])
+def test_jb_moments_beyond_double_range_are_degenerate(scale):
+    """At 1e80 the fourth moment overflows; at 1e160 the statistic was NaN and never rejected."""
+    x = np.random.default_rng(48).standard_normal(200) * scale
+    _refused_without_warnings(jarque_bera, x, "overflow")
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_lilliefors_std_beyond_double_range_is_degenerate(scale):
+    """The std overflowed to inf, every standardized value became 0 and the statistic 0.5."""
+    x = np.random.default_rng(49).standard_normal(200) * scale
+    _refused_without_warnings(lilliefors, x, "overflow")
+    _refused_without_warnings(lilliefors_statistic, x, "overflow")
+
+
+def test_jb_variance_whose_powers_underflow_is_degenerate():
+    """A subnormal variance raised to 1.5 is 0, which divided by zero."""
+    x = np.random.default_rng(50).standard_normal(200) * 1e-160
+    _refused_without_warnings(jarque_bera, x, "variance")
 
 
 def test_minimum_sample_size_enforced():

@@ -32,8 +32,6 @@ def _band(lower, upper, alpha=None, start=START):
         lower=lower,
         upper=np.asarray(upper, dtype=float),
         alpha=alpha,
-        window_days=None,
-        target=None,
     )
 
 

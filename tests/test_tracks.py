@@ -17,10 +17,10 @@ from solarband.series import DaylightMask, IrradianceSeries
 TRACKS = {
     "IrradianceSeries": (1, lambda a: IrradianceSeries(START, a)),
     "DaylightMask": (1, lambda a: DaylightMask(a, 5.0)),
-    "Decomposition": (3, lambda a, b, c: Decomposition(START, a, b, c, 120)),
+    "Decomposition": (3, lambda a, b, c: Decomposition(START, a, b, c)),
     "ForecastTrack": (2, lambda a, b: ForecastTrack(START, 60, a, b)),
     "VolatilityTrack": (3, lambda a, b, c: VolatilityTrack(START, 60, a, b, c)),
-    "BandTrack": (3, lambda a, b, c: BandTrack(START, a, b, c, None, None)),
+    "BandTrack": (3, lambda a, b, c: BandTrack(START, a, b, c)),
 }
 
 
@@ -56,10 +56,8 @@ def test_mask_flags_are_boolean():
 
 def test_score_rejects_a_band_on_another_grid():
     track = ForecastTrack(START, 60, np.ones(4), np.ones(4))
-    shifted = BandTrack(START + timedelta(minutes=1), np.zeros(4), np.full(4, 2.0), np.ones(4),
-                        None, None)
+    shifted = BandTrack(START + timedelta(minutes=1), np.zeros(4), np.full(4, 2.0), np.ones(4))
     with pytest.raises(ValueError, match="start_time"):
         score(track, shifted, all_daylight(4))
     with pytest.raises(ValueError, match="lengths"):
-        score(track, BandTrack(START, np.zeros(4), np.ones(4), np.ones(4), None, None),
-              all_daylight(3))
+        score(track, BandTrack(START, np.zeros(4), np.ones(4), np.ones(4)), all_daylight(3))
