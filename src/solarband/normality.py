@@ -352,8 +352,9 @@ def diff_histogram(x: np.ndarray, bins: int) -> Histogram:
     overlay is the normal density with the sample mean/std at ``CURVE_POINTS``
     points, scaled by n * binwidth so curve and bars share the y axis. A
     span that floats cannot split into ``bins`` strictly increasing edges
-    (narrower than ``bins`` float steps, or wider than the largest float)
-    raises :class:`DegenerateSampleError`.
+    (narrower than ``bins`` float steps, or wider than the largest float), or
+    a std that leaves double range (a spread past about 1e154), raises
+    :class:`DegenerateSampleError`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
@@ -371,8 +372,11 @@ def diff_histogram(x: np.ndarray, bins: int) -> Histogram:
         raise DegenerateSampleError(f"span [{lo!r}, {hi!r}] cannot be split into {bins} bins")
     counts, bin_edges = np.histogram(x, bins=bins, range=(lo, hi))
     binwidth = (hi - lo) / bins
-    mean = float(x.mean())
-    std = float(x.std())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing std is refused below
+        mean = float(x.mean())
+        std = float(x.std())
+    if not std < math.inf:  # NaN too, from a mean that overflows
+        raise DegenerateSampleError(f"degenerate sample: std {std!r} overflows double precision")
     curve_x = np.linspace(lo, hi, CURVE_POINTS)
     if std > 0:
         density = np.exp(-0.5 * ((curve_x - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))

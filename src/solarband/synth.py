@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,10 +55,12 @@ class SynthConfig:
         max_days = MAX_GRID_MINUTES // MINUTES_PER_DAY  # the longest span the readers accept
         if not 1 <= self.days <= max_days:
             raise ValueError(f"days must be in 1..{max_days}")
-        if not self.clear_sky_peak > 0:  # NaN would write a file of gaps only
-            raise ValueError("clear_sky_peak must be > 0")
+        if not 0 < self.clear_sky_peak < math.inf:  # NaN, or inf times a night zero, is a gap
+            raise ValueError("clear_sky_peak must be finite and > 0")
         if self.cloud_regime not in REGIMES:
             raise ValueError(f"cloud_regime must be one of {REGIMES}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def solar_elevation_sine(latitude: float, day_of_year: int, minute_of_day: np.ndarray) -> np.ndarray:
@@ -84,32 +87,72 @@ def clear_sky_curve(cfg: SynthConfig) -> np.ndarray:
     return np.concatenate(days)
 
 
+# Steps of the AR(1) recurrence that pass through Python floats at a time:
+# small enough that the per-chunk lists add nothing to the track's peak memory.
+_CHUNK = 4096
+
+
+def _ar1_noise(shocks: np.ndarray, rho: float, sigma: float) -> np.ndarray:
+    """noise[k] = rho * noise[k - 1] + sigma * shocks[k] from noise 0, in place.
+
+    The same float operations in the same order as a per-minute loop, so the
+    result is bit for bit that loop's.
+    """
+    last = 0.0
+    for a in range(0, shocks.size, _CHUNK):
+        steps = (sigma * shocks[a : a + _CHUNK]).tolist()
+        chunk = list(accumulate(steps, lambda x, step: rho * x + step, initial=last))
+        shocks[a : a + _CHUNK] = chunk[1:]
+        last = chunk[-1]
+    return shocks
+
+
+def _broken_levels(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Per-minute base level of the two-state dwell process, one step per dwell.
+
+    Each minute takes 1 off the time remaining, and the state switches when
+    that is no longer positive. So from remaining r the state holds for
+    ceil(r) - 1 minutes and switches at the next one. While the remaining
+    time is at least 1 each subtraction of 1 is exact, so r - held is what
+    those minutes leave, and the last subtraction rounds as a per-minute loop
+    rounds it. The dwell draws come in the loop's order.
+    """
+    p = _BROKEN
+    bright = True
+    remaining = rng.exponential(p["dwell_high"])
+    states: list[bool] = []
+    lengths: list[int] = []
+    start = k = 0  # the current state began at minute start; k is the next minute
+    while True:
+        held = max(math.ceil(remaining) - 1, 0)  # below 0 only for a first draw of 0.0
+        k += held
+        if k >= n:
+            break
+        remaining = (remaining - held) - 1.0
+        states.append(bright)
+        lengths.append(k - start)
+        while remaining <= 0.0:
+            bright = not bright
+            remaining += rng.exponential(p["dwell_high"] if bright else p["dwell_low"])
+        start = k
+        k += 1
+    states.append(bright)
+    lengths.append(n - start)
+    return np.repeat(np.where(states, p["high"], p["low"]), lengths)
+
+
 def _cloud_factor(cfg: SynthConfig, n: int) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed)
     shocks = rng.standard_normal(n)
-    factor = np.empty(n)
-
     if cfg.cloud_regime == "broken":
         p = _BROKEN
-        bright = True
-        remaining = rng.exponential(p["dwell_high"])
-        noise = 0.0
-        for k in range(n):
-            remaining -= 1.0
-            while remaining <= 0.0:
-                bright = not bright
-                remaining += rng.exponential(p["dwell_high"] if bright else p["dwell_low"])
-            level = p["high"] if bright else p["low"]
-            noise = p["rho"] * noise + p["sigma"] * shocks[k]
-            factor[k] = min(max(level + noise, p["lo"]), p["hi"])
-        return factor
-
-    p = _CLEAR if cfg.cloud_regime == "clear" else _OVERCAST
-    noise = 0.0
-    for k in range(n):
-        noise = p["rho"] * noise + p["sigma"] * shocks[k]
-        factor[k] = min(max(p["level"] + noise, p["lo"]), p["hi"])
-    return factor
+        level = _broken_levels(rng, n)
+    else:
+        p = _CLEAR if cfg.cloud_regime == "clear" else _OVERCAST
+        level = p["level"]
+    factor = _ar1_noise(shocks, p["rho"], p["sigma"])
+    np.add(level, factor, out=factor)
+    return np.clip(factor, p["lo"], p["hi"], out=factor)
 
 
 def generate(cfg: SynthConfig) -> IrradianceSeries:

@@ -1,16 +1,19 @@
 import warnings
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from conftest import make_series
 
 from solarband import cli
 from solarband.bands import calibrated_band, calibration_events
-from solarband.decomposition import extract_trend
-from solarband.forecast import trend_forecast
+from solarband.decomposition import DEFAULT_WINDOW, extract_trend
+from solarband.forecast import DEFAULT_HORIZON, trend_forecast
 from solarband.normality import DegenerateSampleError
 from solarband.report import score, scorecard_csv
 from solarband.risk import volatility_track
-from solarband.series import DaylightMask, ingest_csv
+from solarband.series import DaylightMask, emit_csv, ingest_csv
+from solarband.synth import SynthConfig, generate
 
 
 def run(*args):
@@ -345,3 +348,39 @@ def test_normtest_moments_beyond_double_range_are_a_data_error(tmp_path, capsys,
         assert run("normtest", "--input", str(track_csv)) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "DegenerateSampleError" in err and "overflow" in err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (("--peak", "inf"), "clear_sky_peak"),
+    (("--seed", "-1"), "seed"),
+])
+def test_synth_infinite_peak_or_negative_seed_is_a_data_error(tmp_path, capsys, flags, field):
+    """inf * 0 at night wrote NaN samples (or warned); -1 reached numpy's own seed error."""
+    out = tmp_path / "series.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("synth", "--output", str(out), *flags) == cli.EXIT_DATA
+    assert f"ValueError: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_error_spread_beyond_double_range_writes_nothing(tmp_path, capsys):
+    """The histogram's std overflowed and its normal curve was drawn as all zero, exit 0."""
+    series = generate(SynthConfig(days=3, cloud_regime="broken", seed=4))
+    values = series.values[600:].copy()  # from 10:00 UTC, in daylight
+    # The first 60 defined predictions have no volatility forecast, so they are
+    # binned but neither calibrated nor scored; the gap after them keeps the huge
+    # values out of every later trend window.
+    first = DEFAULT_WINDOW - 1 + DEFAULT_HORIZON
+    values[first : first + 60] = 1e160 * np.random.default_rng(0).uniform(1.0, 2.0, 60)
+    lines = emit_csv(make_series(values, series.start_time + timedelta(minutes=600))).split("\n")
+    del lines[1 + first + 60 : 1 + first + 260]
+    series_csv = tmp_path / "series.csv"
+    series_csv.write_text("\n".join(lines))
+    outdir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "DegenerateSampleError" in err and "overflow" in err
+    assert not outdir.exists()

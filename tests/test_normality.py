@@ -312,6 +312,19 @@ def test_histogram_unsplittable_span_is_degenerate(sample, bins):
         diff_histogram(np.array(sample), bins)
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
+def test_histogram_std_beyond_double_range_is_degenerate(scale):
+    """The std overflowed to inf and the normal curve came out all zero beside correct counts."""
+    x = np.random.default_rng(1).standard_normal(200) * scale
+    _refused_without_warnings(lambda sample: diff_histogram(sample, 60), x, "overflow")
+
+
+def test_histogram_mean_beyond_double_range_is_degenerate():
+    x = np.full(200, 1.5e308)
+    x[0] = 1e308
+    _refused_without_warnings(lambda sample: diff_histogram(sample, 60), x, "overflow")
+
+
 def test_histogram_narrow_span_that_splits_is_kept():
     h = diff_histogram(np.array([0.0, 5e-324]), 1)
     assert h.counts.tolist() == [2]

@@ -1,8 +1,14 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from solarband import synth
 from solarband.series import MAX_GRID_MINUTES
-from solarband.synth import SynthConfig, generate, solar_elevation_sine
+from solarband.synth import REGIMES, SynthConfig, generate, solar_elevation_sine
 
 
 def test_same_seed_bitwise_identical():
@@ -90,3 +96,99 @@ def test_invalid_configs_rejected():
             SynthConfig(clear_sky_peak=peak)
     with pytest.raises(ValueError):
         SynthConfig(cloud_regime="foggy")
+
+
+def test_infinite_peak_and_negative_seed_rejected_by_name():
+    """inf * 0 at night made NaN samples; a negative seed reached numpy's own error."""
+    with pytest.raises(ValueError, match="clear_sky_peak must be finite"):
+        SynthConfig(clear_sky_peak=float("inf"))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SynthConfig(seed=-1)
+    SynthConfig(clear_sky_peak=1e308, seed=0)  # the largest finite peak and seed 0 stay valid
+
+
+# ---------------------------------------------------------------------------
+# cloud process against the per-minute loop
+# ---------------------------------------------------------------------------
+
+
+def reference_cloud_factor(cfg, n):
+    """The per-minute loop the cloud process was first written as."""
+    rng = np.random.default_rng(cfg.seed)
+    shocks = rng.standard_normal(n)
+    factor = np.empty(n)
+
+    if cfg.cloud_regime == "broken":
+        p = synth._BROKEN
+        bright = True
+        remaining = rng.exponential(p["dwell_high"])
+        noise = 0.0
+        for k in range(n):
+            remaining -= 1.0
+            while remaining <= 0.0:
+                bright = not bright
+                remaining += rng.exponential(p["dwell_high"] if bright else p["dwell_low"])
+            level = p["high"] if bright else p["low"]
+            noise = p["rho"] * noise + p["sigma"] * shocks[k]
+            factor[k] = min(max(level + noise, p["lo"]), p["hi"])
+        return factor
+
+    p = synth._CLEAR if cfg.cloud_regime == "clear" else synth._OVERCAST
+    noise = 0.0
+    for k in range(n):
+        noise = p["rho"] * noise + p["sigma"] * shocks[k]
+        factor[k] = min(max(p["level"] + noise, p["lo"]), p["hi"])
+    return factor
+
+
+@given(
+    regime=st.sampled_from(REGIMES),
+    seed=st.integers(0, 2**64),
+    n=st.integers(1, 20_000),
+)
+@example(regime="broken", seed=3, n=synth._CHUNK - 1)
+@example(regime="broken", seed=4, n=synth._CHUNK)
+@example(regime="clear", seed=5, n=synth._CHUNK + 1)
+@example(regime="overcast", seed=6, n=3 * synth._CHUNK)
+@settings(max_examples=80, deadline=None, database=None)
+def test_cloud_factor_is_the_per_minute_loop_bit_for_bit(regime, seed, n):
+    cfg = SynthConfig(cloud_regime=regime, seed=seed)
+    assert synth._cloud_factor(cfg, n).tobytes() == reference_cloud_factor(cfg, n).tobytes()
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_cloud_factor_is_the_per_minute_loop_over_a_year(regime):
+    cfg = SynthConfig(cloud_regime=regime, seed=2021)
+    n = 365 * 1440
+    assert synth._cloud_factor(cfg, n).tobytes() == reference_cloud_factor(cfg, n).tobytes()
+
+
+# sha256 of generate(cfg).values.tobytes(), recorded from the per-minute loop
+PINNED = [
+    (dict(latitude=-33.9, day_of_year=366, days=3, cloud_regime="clear", seed=11),
+     "e0a01e7dd065ee27f1aafcffdcf42be08a9f8cbc3db87a121de4cb9b43bd755b"),
+    (dict(latitude=48.7, day_of_year=150, days=2, cloud_regime="broken", seed=7),
+     "2c5492748542602ae9bf2a2b075dd740c18e8c554b72465fce0f25a956b92204"),
+    (dict(latitude=-62.5, day_of_year=355, days=14, cloud_regime="broken", seed=2**40 + 3),
+     "55a468ede56f5c117e521d75d5475b49e044e8118f0d5cfd37a3db4e148f8990"),
+    (dict(latitude=12.0, day_of_year=366, days=2, cloud_regime="overcast", seed=5),
+     "d12f2fef57de589179ad03929aebd459039a5e182e90a656f32b99b9d717c696"),
+]
+
+
+@pytest.mark.parametrize("fields, digest", PINNED)
+def test_generate_bytes_are_pinned(fields, digest):
+    values = generate(SynthConfig(**fields)).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+def test_generate_peak_memory_stays_within_six_tracks():
+    """A whole-track list of Python floats would cost about 4 tracks more."""
+    cfg = SynthConfig(days=365, cloud_regime="broken", seed=1)
+    tracemalloc.start()
+    try:
+        n = len(generate(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n
