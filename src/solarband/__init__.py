@@ -27,7 +27,14 @@ from .normality import (
     ks_normal,
     lilliefors,
 )
-from .report import EmptyRangeError, NoScorableRecordsError, ScoreCard, emit_plot, score
+from .report import (
+    EmptyRangeError,
+    NonFiniteScoreError,
+    NoScorableRecordsError,
+    ScoreCard,
+    emit_plot,
+    score,
+)
 from .risk import NoDefinedRecordsError, VolatilityTrack, volatility_track
 from .series import (
     DaylightMask,
@@ -53,6 +60,7 @@ __all__ = [
     "NoDefinedRecordsError",
     "NormalityReport",
     "NoScorableRecordsError",
+    "NonFiniteScoreError",
     "ScoreCard",
     "SeriesCsvError",
     "SynthConfig",

@@ -8,7 +8,7 @@ or environment-dependent metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 
 import numpy as np
@@ -39,6 +39,10 @@ class NoScorableRecordsError(ValueError):
     """No record is daylight-eligible with all fields defined."""
 
 
+class NonFiniteScoreError(ValueError):
+    """A scorecard value overflows double precision."""
+
+
 class EmptyRangeError(ValueError):
     """The requested plot range contains no samples."""
 
@@ -60,7 +64,8 @@ def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> Score
 
     Coverage counts boundary hits as inside (the same counting rule the
     calibration uses). nRMSE is RMSE over the mean realized value of the
-    scored records.
+    scored records. A value beyond double range, such as the RMSE of errors
+    past about 1e154, raises NonFiniteScoreError.
     """
     check_aligned(forecast, band, mask)
     realized = forecast.realized
@@ -70,18 +75,24 @@ def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> Score
     if n == 0:
         raise NoScorableRecordsError("no eligible records to score")
 
-    err = realized[keep] - predicted[keep]
-    rmse = math.sqrt(float(np.mean(err**2)))
-    mae = float(np.mean(np.abs(err)))
-    covered = inside_band(realized[keep], band.lower[keep], band.upper[keep])
-    return ScoreCard(
-        rmse=rmse,
-        mae=mae,
-        nrmse=rmse / float(np.mean(realized[keep])),
-        coverage=float(np.mean(covered)),
-        mean_band_width=float(np.mean(band.upper[keep] - band.lower[keep])),
-        n_scored=n,
-    )
+    # Values past double range come out as inf or NaN, refused below by name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = realized[keep] - predicted[keep]
+        rmse = math.sqrt(float(np.mean(err**2)))
+        mae = float(np.mean(np.abs(err)))
+        covered = inside_band(realized[keep], band.lower[keep], band.upper[keep])
+        card = ScoreCard(
+            rmse=rmse,
+            mae=mae,
+            nrmse=rmse / float(np.mean(realized[keep])),
+            coverage=float(np.mean(covered)),
+            mean_band_width=float(np.mean(band.upper[keep] - band.lower[keep])),
+            n_scored=n,
+        )
+    bad = [f.name for f in fields(card) if not math.isfinite(getattr(card, f.name))]
+    if bad:
+        raise NonFiniteScoreError(f"{', '.join(bad)} overflow double precision")
+    return card
 
 
 def scorecard_csv(card: ScoreCard) -> str:

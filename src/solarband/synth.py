@@ -63,48 +63,110 @@ class SynthConfig:
             raise ValueError("seed must be >= 0")
 
 
+def _declination(day_of_year: int) -> float:
+    return 0.409 * math.sin(2.0 * math.pi * (day_of_year - 80) / 365.0)
+
+
+def _cos_hour_angle(minute_of_day: np.ndarray) -> np.ndarray:
+    return np.cos(np.radians(0.25 * (minute_of_day - 720.0)))  # 15 deg/h
+
+
 def solar_elevation_sine(latitude: float, day_of_year: int, minute_of_day: np.ndarray) -> np.ndarray:
     """sin(solar elevation) from declination and hour angle, longitude 0.
 
     Accuracy near a degree, which is ample for a test fixture.
     """
-    declination = 0.409 * math.sin(2.0 * math.pi * (day_of_year - 80) / 365.0)
-    hour_angle = np.radians(0.25 * (minute_of_day - 720.0))  # 15 deg/h
+    declination = _declination(day_of_year)
     lat = math.radians(latitude)
     return math.sin(lat) * math.sin(declination) + math.cos(lat) * math.cos(
         declination
-    ) * np.cos(hour_angle)
+    ) * _cos_hour_angle(minute_of_day)
 
 
 def clear_sky_curve(cfg: SynthConfig) -> np.ndarray:
-    """Cloudless per-minute irradiance over the configured span; 0 at night."""
-    minute_of_day = np.arange(MINUTES_PER_DAY, dtype=float)
-    days = []
-    for d in range(cfg.days):
-        doy = (cfg.day_of_year - 1 + d) % 365 + 1
-        elevation = solar_elevation_sine(cfg.latitude, doy, minute_of_day)
-        days.append(cfg.clear_sky_peak * np.maximum(0.0, elevation))
-    return np.concatenate(days)
+    """Cloudless per-minute irradiance over the configured span; 0 at night.
+
+    Each day is solar_elevation_sine's flat + tilt * cos(hour angle), so one
+    outer product gives every day, with the same rounding as a day at a time.
+    """
+    lat = math.radians(cfg.latitude)
+    declinations = [_declination((cfg.day_of_year - 1 + d) % 365 + 1) for d in range(cfg.days)]
+    flat = np.array([math.sin(lat) * math.sin(dec) for dec in declinations])
+    tilt = np.array([math.cos(lat) * math.cos(dec) for dec in declinations])
+    cos_hour = _cos_hour_angle(np.arange(MINUTES_PER_DAY, dtype=float))
+    elevation = tilt[:, None] * cos_hour + flat[:, None]
+    return (cfg.clear_sky_peak * np.maximum(0.0, elevation)).ravel()
 
 
 # Steps of the AR(1) recurrence that pass through Python floats at a time:
 # small enough that the per-chunk lists add nothing to the track's peak memory.
 _CHUNK = 4096
+# Minutes per lane of the side-by-side recurrence. Its warm-up forgets a wrong
+# start by a factor rho**_LANE, 0.97**2048 (about 1e-27) at the largest rho.
+_LANE = 2048
+# Dwell times drawn from the generator at a time.
+_DRAWS = 4096
 
 
-def _ar1_noise(shocks: np.ndarray, rho: float, sigma: float) -> np.ndarray:
-    """noise[k] = rho * noise[k - 1] + sigma * shocks[k] from noise 0, in place.
+def _ar1_sequential(shocks: np.ndarray, rho: float, sigma: float, last: float = 0.0) -> None:
+    """noise[k] = rho * noise[k - 1] + sigma * shocks[k] from noise `last`, in place.
 
-    The same float operations in the same order as a per-minute loop, so the
-    result is bit for bit that loop's.
+    One Python float step per minute, so each sample rounds as a per-minute
+    loop rounds it.
     """
-    last = 0.0
     for a in range(0, shocks.size, _CHUNK):
         steps = (sigma * shocks[a : a + _CHUNK]).tolist()
         chunk = list(accumulate(steps, lambda x, step: rho * x + step, initial=last))
         shocks[a : a + _CHUNK] = chunk[1:]
         last = chunk[-1]
+
+
+def _ar1_noise(shocks: np.ndarray, rho: float, sigma: float) -> np.ndarray:
+    """noise[k] = rho * noise[k - 1] + sigma * shocks[k] from noise 0, in place.
+
+    The track runs as lanes of _LANE minutes side by side, one numpy step per
+    minute of a lane: y *= rho, then y += step, the two separately rounded
+    operations of the per-minute loop. Each lane but the first starts from a
+    guess: the state reached from 0 over the previous lane's steps. The lanes
+    are kept only if every guess equals, bit for bit, the previous lane's last
+    value. Then by induction every sample is the loop's: lane 0 starts from
+    the loop's exact 0, and a lane that starts from the loop's exact state
+    takes the loop's steps from it, so it ends on the loop's exact state,
+    which is the next lane's start. A failed check, a track shorter than two
+    lanes and the minutes after the last whole lane go through
+    _ar1_sequential, the latter from the exact last state.
+    """
+    lanes = shocks.size // _LANE
+    if lanes < 2:
+        _ar1_sequential(shocks, rho, sigma)
+        return shocks
+    done = lanes * _LANE
+    by_lane = shocks[:done].reshape(lanes, _LANE)
+    # Row j holds minute j of every lane: its steps, then its noise.
+    by_minute = np.multiply(by_lane.T, sigma, out=np.empty((_LANE, lanes)))
+    start = np.zeros(lanes)
+    guess = start[1:]
+    for step in by_minute[:, :-1]:
+        guess *= rho
+        guess += step
+    y = start.copy()
+    for row in by_minute:
+        y *= rho
+        y += row
+        row[:] = y
+    # Compared as int64, so that -0.0 and 0.0, equal as floats, count as different.
+    if not np.array_equal(guess.view(np.int64), by_minute[-1, :-1].view(np.int64)):
+        _ar1_sequential(shocks, rho, sigma)
+        return shocks
+    by_lane[...] = by_minute.T
+    _ar1_sequential(shocks[done:], rho, sigma, float(by_minute[-1, -1]))
     return shocks
+
+
+def _standard_exponentials(rng: np.random.Generator):
+    """Standard exponential draws from rng, _DRAWS at a time."""
+    while True:
+        yield from rng.standard_exponential(_DRAWS).tolist()
 
 
 def _broken_levels(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -116,10 +178,16 @@ def _broken_levels(rng: np.random.Generator, n: int) -> np.ndarray:
     time is at least 1 each subtraction of 1 is exact, so r - held is what
     those minutes leave, and the last subtraction rounds as a per-minute loop
     rounds it. The dwell draws come in the loop's order.
+
+    numpy's exponential(scale) is scale * standard_exponential() on the same
+    stream, so drawing standard exponentials in blocks of _DRAWS and scaling
+    them here gives the same dwells. The block's unused draws are lost, but
+    nothing draws from rng after the dwells.
     """
     p = _BROKEN
+    draws = _standard_exponentials(rng)
     bright = True
-    remaining = rng.exponential(p["dwell_high"])
+    remaining = p["dwell_high"] * next(draws)
     states: list[bool] = []
     lengths: list[int] = []
     start = k = 0  # the current state began at minute start; k is the next minute
@@ -133,7 +201,7 @@ def _broken_levels(rng: np.random.Generator, n: int) -> np.ndarray:
         lengths.append(k - start)
         while remaining <= 0.0:
             bright = not bright
-            remaining += rng.exponential(p["dwell_high"] if bright else p["dwell_low"])
+            remaining += (p["dwell_high"] if bright else p["dwell_low"]) * next(draws)
         start = k
         k += 1
     states.append(bright)

@@ -384,3 +384,19 @@ def test_report_error_spread_beyond_double_range_writes_nothing(tmp_path, capsys
     err = capsys.readouterr().err
     assert "DegenerateSampleError" in err and "overflow" in err
     assert not outdir.exists()
+
+
+def test_report_scores_beyond_double_range_write_nothing(tmp_path, capsys):
+    """The scorecard's rmse and nrmse were inf, with an overflow RuntimeWarning."""
+    values = np.zeros(4 * 1440)
+    rng = np.random.default_rng(0)
+    for day in range(4):
+        values[day * 1440 + 360 : day * 1440 + 1080] = rng.uniform(1e160, 2e160, 720)
+    series_csv = tmp_path / "series.csv"
+    series_csv.write_text(emit_csv(make_series(values)))
+    outdir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
+    assert "NonFiniteScoreError: rmse, nrmse overflow double precision" in capsys.readouterr().err
+    assert not outdir.exists()

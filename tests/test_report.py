@@ -15,6 +15,7 @@ from solarband.normality import CURVE_POINTS, DegenerateSampleError, diff_histog
 from solarband.risk import VolatilityTrack
 from solarband.report import (
     EmptyRangeError,
+    NonFiniteScoreError,
     NoScorableRecordsError,
     emit_plot,
     render_histogram_svg,
@@ -89,6 +90,22 @@ def test_no_eligible_records_raises():
     band = _band(np.ones(10), np.ones(10))
     with pytest.raises(NoScorableRecordsError):
         score(track, band, all_daylight(10))
+
+
+@pytest.mark.parametrize(
+    "realized, upper, names",
+    [
+        (1e160, 2e160, "rmse, nrmse"),  # err**2 overflows
+        (1.5e308, 1.7e308, "rmse, mae, nrmse, mean_band_width"),  # so do the sums
+    ],
+)
+def test_score_beyond_double_range_is_refused_by_name(realized, upper, names):
+    """rmse and nrmse were inf, with an overflow RuntimeWarning."""
+    n = 4
+    track = _track(np.zeros(n), np.full(n, realized))
+    band = _band(np.zeros(n), np.full(n, upper))
+    with pytest.raises(NonFiniteScoreError, match=f"^{names} overflow double precision$"):
+        score(track, band, all_daylight(n))
 
 
 def test_score_coverage_matches_calibration_counting():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -150,6 +151,10 @@ def reference_cloud_factor(cfg, n):
 @example(regime="broken", seed=4, n=synth._CHUNK)
 @example(regime="clear", seed=5, n=synth._CHUNK + 1)
 @example(regime="overcast", seed=6, n=3 * synth._CHUNK)
+@example(regime="overcast", seed=7, n=2 * synth._LANE - 1)
+@example(regime="broken", seed=8, n=2 * synth._LANE)
+@example(regime="clear", seed=9, n=2 * synth._LANE + 1)
+@example(regime="overcast", seed=10, n=5 * synth._LANE + 7)
 @settings(max_examples=80, deadline=None, database=None)
 def test_cloud_factor_is_the_per_minute_loop_bit_for_bit(regime, seed, n):
     cfg = SynthConfig(cloud_regime=regime, seed=seed)
@@ -161,6 +166,102 @@ def test_cloud_factor_is_the_per_minute_loop_over_a_year(regime):
     cfg = SynthConfig(cloud_regime=regime, seed=2021)
     n = 365 * 1440
     assert synth._cloud_factor(cfg, n).tobytes() == reference_cloud_factor(cfg, n).tobytes()
+
+
+def _record_sequential_runs(monkeypatch):
+    """Wrap the sequential recurrence; the list gets the length of each run."""
+    sizes = []
+    sequential = synth._ar1_sequential
+
+    def recorded(shocks, *args):
+        sizes.append(shocks.size)
+        return sequential(shocks, *args)
+
+    monkeypatch.setattr(synth, "_ar1_sequential", recorded)
+    return sizes
+
+
+def test_lanes_that_cannot_merge_rerun_the_whole_track(monkeypatch):
+    # 0.97**8 is about 0.78: eight minutes of warm-up cannot forget a wrong start
+    monkeypatch.setattr(synth, "_LANE", 8)
+    sizes = _record_sequential_runs(monkeypatch)
+    cfg = SynthConfig(cloud_regime="overcast", seed=13)
+    n = 1000
+    assert synth._cloud_factor(cfg, n).tobytes() == reference_cloud_factor(cfg, n).tobytes()
+    assert sizes == [n]
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_a_year_sends_only_its_tail_through_the_sequential_path(monkeypatch, regime):
+    sizes = _record_sequential_runs(monkeypatch)
+    n = 365 * 1440
+    synth._cloud_factor(SynthConfig(cloud_regime=regime, seed=31), n)
+    assert sizes == [n % synth._LANE] and n % synth._LANE > 0
+
+
+def reference_clear_sky_curve(cfg):
+    """The per-day loop the clear-sky curve was first written as."""
+    minute_of_day = np.arange(1440, dtype=float)
+    days = []
+    for d in range(cfg.days):
+        doy = (cfg.day_of_year - 1 + d) % 365 + 1
+        elevation = solar_elevation_sine(cfg.latitude, doy, minute_of_day)
+        days.append(cfg.clear_sky_peak * np.maximum(0.0, elevation))
+    return np.concatenate(days)
+
+
+@given(
+    latitude=st.floats(-90.0, 90.0),
+    day_of_year=st.integers(1, 366),
+    days=st.integers(1, 40),
+    peak=st.floats(0.0, 1e308, exclude_min=True),
+)
+@example(latitude=90.0, day_of_year=172, days=3, peak=1e308)
+@example(latitude=-90.0, day_of_year=355, days=40, peak=5e-324)
+@example(latitude=-0.0, day_of_year=366, days=2, peak=1000.0)
+@settings(max_examples=60, deadline=None, database=None)
+def test_clear_sky_curve_is_the_per_day_loop_bit_for_bit(latitude, day_of_year, days, peak):
+    cfg = SynthConfig(latitude=latitude, day_of_year=day_of_year, days=days, clear_sky_peak=peak)
+    assert synth.clear_sky_curve(cfg).tobytes() == reference_clear_sky_curve(cfg).tobytes()
+
+
+def reference_broken_levels(rng, n):
+    """The dwell process with one scalar rng.exponential call per dwell."""
+    p = synth._BROKEN
+    bright = True
+    remaining = rng.exponential(p["dwell_high"])
+    states, lengths = [], []
+    start = k = 0
+    while True:
+        held = max(math.ceil(remaining) - 1, 0)
+        k += held
+        if k >= n:
+            break
+        remaining = (remaining - held) - 1.0
+        states.append(bright)
+        lengths.append(k - start)
+        while remaining <= 0.0:
+            bright = not bright
+            remaining += rng.exponential(p["dwell_high"] if bright else p["dwell_low"])
+        start = k
+        k += 1
+    states.append(bright)
+    lengths.append(n - start)
+    return np.repeat(np.where(states, p["high"], p["low"]), lengths)
+
+
+@given(seed=st.integers(0, 2**64), n=st.integers(1, 200_000))
+@example(seed=17, n=150_000)  # over 10,000 dwells: past two blocks of draws
+@settings(max_examples=40, deadline=None, database=None)
+def test_broken_levels_equal_one_scalar_draw_per_dwell(seed, n):
+    levels = synth._broken_levels(np.random.default_rng(seed), n)
+    assert levels.tobytes() == reference_broken_levels(np.random.default_rng(seed), n).tobytes()
+
+
+def test_the_dwells_of_a_long_track_cross_a_block_of_draws():
+    levels = synth._broken_levels(np.random.default_rng(17), 150_000)
+    switches = int(np.count_nonzero(np.diff(levels)))  # each switch took a draw
+    assert switches > 2 * synth._DRAWS
 
 
 # sha256 of generate(cfg).values.tobytes(), recorded from the per-minute loop
