@@ -16,7 +16,7 @@ from .bands import (
     fixed_band,
     inside_band,
 )
-from .decomposition import Decomposition, extract_trend
+from .decomposition import Decomposition, NonFiniteTrendError, extract_trend
 from .forecast import ForecastTrack, persistence_forecast, trend_forecast
 from .normality import (
     DegenerateSampleError,
@@ -61,6 +61,7 @@ __all__ = [
     "NormalityReport",
     "NoScorableRecordsError",
     "NonFiniteScoreError",
+    "NonFiniteTrendError",
     "ScoreCard",
     "SeriesCsvError",
     "SynthConfig",

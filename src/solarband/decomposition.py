@@ -19,6 +19,10 @@ from .series import FrozenTrack, IrradianceSeries
 DEFAULT_WINDOW = 120
 
 
+class NonFiniteTrendError(ValueError):
+    """A gap-free trend window's fit leaves double range."""
+
+
 @dataclass(frozen=True, eq=False)
 class Decomposition(FrozenTrack):
     """Per-sample trend and fluctuation; NaN marks an undefined fit.
@@ -40,7 +44,8 @@ def extract_trend(series: IrradianceSeries, window: int = DEFAULT_WINDOW) -> Dec
 
     The fit is causal: the window at index k covers samples k-window+1 .. k,
     so later samples never influence earlier trend values. Windows touching
-    a gap are undefined rather than partially fitted.
+    a gap are undefined rather than partially fitted. A gap-free window whose
+    fit overflows (values past about 1e306) raises NonFiniteTrendError.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
@@ -57,14 +62,26 @@ def extract_trend(series: IrradianceSeries, window: int = DEFAULT_WINDOW) -> Dec
     sxx = window * (window * window - 1.0) / 12.0
 
     windows = sliding_window_view(values, window)
-    slope_tail = (windows @ centered) / sxx
-    trend_tail = windows.mean(axis=1) + slope_tail * half_span
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fit is refused below
+        slope_tail = (windows @ centered) / sxx
+        trend_tail = windows.mean(axis=1) + slope_tail * half_span
 
-    trend = np.full(n, np.nan)
-    slope = np.full(n, np.nan)
-    trend[window - 1 :] = trend_tail
-    slope[window - 1 :] = slope_tail
-    fluctuation = values - trend
+        trend = np.full(n, np.nan)
+        slope = np.full(n, np.nan)
+        trend[window - 1 :] = trend_tail
+        slope[window - 1 :] = slope_tail
+        fluctuation = values - trend
+    # A non-finite slope makes the trend, and so the fluctuation, non-finite;
+    # only a gap may leave it undefined.
+    tail = fluctuation[window - 1 :]
+    if not np.isfinite(tail).all():
+        gaps = np.concatenate(([0], np.cumsum(np.isnan(values))))
+        overflowed = ~np.isfinite(tail) & (gaps[window:] == gaps[:-window])
+        if overflowed.any():
+            raise NonFiniteTrendError(
+                f"{np.count_nonzero(overflowed)} gap-free trend windows overflow double precision, "
+                f"the first ending at sample {window - 1 + np.flatnonzero(overflowed)[0]}"
+            )
 
     return Decomposition(
         start_time=series.start_time,

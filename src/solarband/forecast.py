@@ -7,7 +7,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .decomposition import Decomposition
+from .decomposition import Decomposition, NonFiniteTrendError
 from .series import FrozenTrack, IrradianceSeries, check_aligned
 
 DEFAULT_HORIZON = 60
@@ -43,6 +43,7 @@ def trend_forecast(
 
     The prediction for time t0 + horizon is the trailing-window line at t0
     evaluated at t0 + horizon, clamped below at 0 (irradiance is physical).
+    A line that leaves double range by then raises NonFiniteTrendError.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -52,7 +53,12 @@ def trend_forecast(
 
     predicted = np.full(n, np.nan)
     if horizon < n:
-        extrapolated = decomposition.trend[:-horizon] + decomposition.slope[:-horizon] * horizon
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            extrapolated = decomposition.trend[:-horizon] + decomposition.slope[:-horizon] * horizon
+        if np.isinf(extrapolated).any():
+            raise NonFiniteTrendError(
+                f"a trend line extrapolated {horizon} minutes overflows double precision"
+            )
         predicted[horizon:] = np.clip(extrapolated, 0.0, None)
     return ForecastTrack(
         start_time=series.start_time,

@@ -1,4 +1,6 @@
+import math
 from datetime import timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -253,21 +255,28 @@ def test_band_records_the_events_it_was_built_from():
 
 
 def test_one_pass_builds_the_ratio_record_once(monkeypatch):
+    """One calibrate_alpha batch of every grid point, and one _ratios call, per pass."""
     _, track, vol, mask = run_pipeline(days=3, regime="broken", seed=4)
-    build, built = bands._candidates, []
+    compute, calibrate, spans, batches = bands._ratios, bands.calibrate_alpha, [], []
 
-    def counting(*args):
-        built.append(args)
-        return build(*args)
+    def counting(vol, mask, span):
+        spans.append(span)
+        return compute(vol, mask, span)
 
-    monkeypatch.setattr(bands, "_candidates", counting)
+    def batching(forecast, vol, mask, at_index, *args):
+        batches.append(at_index)
+        return calibrate(forecast, vol, mask, at_index, *args)
+
+    monkeypatch.setattr(bands, "_ratios", counting)
+    monkeypatch.setattr(bands, "calibrate_alpha", batching)
     band = calibrated_band(track, vol, mask, window_days=1, recal_every=60)
     assert len(band.events) == 72
-    assert len(built) == 1
+    assert len(spans) == 1
+    assert len(batches) == 1 and len(batches[0]) == 72
 
 
 def test_standalone_call_computes_only_its_window(monkeypatch):
-    """Without a ratio record, a call reads its trailing window, not the whole track."""
+    """A call reads its trailing window, not the whole track."""
     f, v, mask = calibration_tracks(10 * 1440, 0, 5, 360, 1080, 0.05, False, 2)
     check, sizes = bands.eligible, []
 
@@ -278,19 +287,7 @@ def test_standalone_call_computes_only_its_window(monkeypatch):
     monkeypatch.setattr(bands, "eligible", recording)
     alpha = calibrate_alpha(f, v, mask, at_index=5 * 1440, window_days=1)
     assert sizes and max(sizes) <= 1440
-    record = bands._candidates(v, mask)
-    assert alpha == calibrate_alpha(f, v, mask, at_index=5 * 1440, window_days=1, candidates=record)
-
-
-def test_calibrate_rejects_a_ratio_record_of_other_tracks():
-    f, v, mask = tracks_from_ratios(np.arange(1.0, 11.0))
-    record = bands._candidates(v, mask)
-    assert calibrate_alpha(f, v, mask, at_index=10, candidates=record) == 7.0
-    twin_v = VolatilityTrack(START, 60, v.diff, v.vol, v.vol_pred)  # equal arrays, another track
-    with pytest.raises(ValueError, match="candidates"):
-        calibrate_alpha(f, twin_v, mask, at_index=10, candidates=record)
-    with pytest.raises(ValueError, match="candidates"):
-        calibrate_alpha(f, v, all_daylight(10), at_index=10, candidates=record)
+    assert alpha == reference_calibrate(f, v, mask, 5 * 1440, 1, bands.DEFAULT_TARGET)
 
 
 @pytest.mark.parametrize("target, n", [(0.68, 25), (0.6, 5), (0.7, 10), (0.3, 10), (0.5, 2)])
@@ -299,6 +296,19 @@ def test_calibrate_exact_rank_boundaries(target, n):
     ratios = np.arange(1, n + 1, dtype=float)
     f, v, mask = tracks_from_ratios(ratios)
     assert calibrate_alpha(f, v, mask, at_index=n, target=target) == round(target * n)
+
+
+@pytest.mark.parametrize(
+    "target, n", [(0.33333333333333337, 3), (0.6666666666666667, 3), (0.4285714285714286, 7)]
+)
+def test_calibrate_target_just_past_a_boundary_takes_the_next_rank(target, n):
+    """target * n rounds down onto an integer rank whose coverage rank / n misses the target."""
+    ratios = np.arange(1, n + 1, dtype=float)
+    f, v, mask = tracks_from_ratios(ratios)
+    rank = math.ceil(target * n)
+    assert rank / n < target
+    assert calibrate_alpha(f, v, mask, at_index=n, target=target) == rank + 1
+    assert calibrate_alpha(f, v, mask, np.array([n]), target=target).tolist() == [rank + 1]
 
 
 targets = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -325,13 +335,32 @@ def test_calibrate_alpha_is_the_minimal_multiplier(data):
     assert sum(r < alpha for r in ratios) / n < target
 
 
+def reference_calibrate(forecast, vol, mask, at_index, window_days, target):
+    """One index by the per-window rule, independent of the batched selection.
+
+    The window's own ratios, the rank ceil(target * n) settled against
+    rank / n >= target, and np.partition.
+    """
+    lo = max(0, at_index - window_days * bands.MINUTES_PER_DAY)
+    ratios = bands._ratios(vol, mask, slice(lo, at_index))[1]
+    if ratios.size == 0:
+        raise UncalibratableWindowError(f"no eligible record before index {at_index}")
+    n = ratios.size
+    rank = math.ceil(target * n)
+    while rank > 1 and (rank - 1) / n >= target:
+        rank -= 1
+    while rank / n < target:
+        rank += 1
+    return float(np.partition(ratios, rank - 1)[rank - 1])
+
+
 def reference_events(forecast, vol, mask, window_days, target, recal_every):
-    """calibrate_alpha at every grid point: the loop calibration_events skips repeats of."""
+    """The reference rule at every grid point."""
     start_minute = int(forecast.start_time.timestamp()) // 60
     events = []
     for k in range((-start_minute) % recal_every, len(forecast), recal_every):
         try:
-            alpha = calibrate_alpha(forecast, vol, mask, k, window_days, target)
+            alpha = reference_calibrate(forecast, vol, mask, k, window_days, target)
         except UncalibratableWindowError:
             alpha = None
         events.append((k, alpha))
@@ -420,3 +449,95 @@ def test_calibration_events_equal_calibrating_at_every_grid_point(
     band = calibrated_band(forecast, vol, mask, window_days, target, recal_every)
     assert _hex(band.events) == _hex(expected)
     assert band.alpha.tobytes() == reference_alpha(expected, len(forecast)).tobytes()
+
+
+def tracks_from_vol(vol, vol_pred, flags=None):
+    """Tracks with the given volatility and its forecast; every record daylight unless ``flags``."""
+    vol = np.asarray(vol, dtype=float)
+    f = ForecastTrack(START, 60, np.zeros(vol.size), vol)
+    v = VolatilityTrack(START, 60, vol, vol, vol_pred)
+    mask = all_daylight(vol.size) if flags is None else DaylightMask(flags=flags, eps_day=0.0)
+    return f, v, mask
+
+
+def one_record_windows():
+    """Three daylight records a day apart: each 1-day window holds one of them or none."""
+    flags = np.zeros(3 * 1440, dtype=bool)
+    flags[[100, 1540, 3000]] = True
+    f, v, mask = tracks_from_vol(np.arange(1.0, 3 * 1440 + 1), np.ones(3 * 1440), flags)
+    return f, v, mask, [101, 1440, 1541, 2980, 3001, 4320, 100]
+
+
+@st.composite
+def batch_inputs(draw):
+    forecast, vol, mask = draw(calibration_inputs())
+    n = len(forecast)
+    index = st.one_of(st.just(0), st.just(n), st.integers(0, n))
+    at = draw(st.lists(index, max_size=30))
+    if at and draw(st.booleans()):
+        at += draw(st.lists(st.sampled_from(at), min_size=1, max_size=5))  # repeats
+    return forecast, vol, mask, at
+
+
+# Every record equal, so ties cross every bucket edge; a window with fewer records than a
+# bucket, and one bucket per record; inf ratios (a subnormal vol_pred); one-record windows;
+# a window_days whose minute count is past int64.
+@example((*tracks_from_ratios(np.full(50, 1.5)), [50, 49, 25, 0, 50, 7]), 1, 0.68, 3, 2)
+@example((*tracks_from_ratios([3.0, 1.0, 2.0]), [3, 1, 2, 0, 3]), 1, 0.68, bands._BUCKET, bands._BLOCK)
+@example((*tracks_from_ratios([3.0, 1.0, 2.0, 2.0]), [4, 3, 1]), 1, 0.5, 1, 1)
+@example(
+    (*tracks_from_vol([1, 2, 1, 3, 0.5, 1], [1, 5e-324, 1, 5e-324, 1, 1e-300]), [6, 4, 2, 6, 3]),
+    1, 0.9, 2, 1,
+)
+@example(one_record_windows(), 1, 0.68, 1, 2)
+@example(
+    (*calibration_tracks(3 * 1440, 7, 1, 360, 1080, 0.05, False, 2), [4320, 0, 2000, 4319, 2000]),
+    10**12, 0.68, 64, 2,
+)
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    inputs=batch_inputs(),
+    window_days=st.one_of(st.just(1), st.integers(1, 10), st.just(10**12)),
+    target=st.one_of(st.just(0.68), targets),
+    bucket=st.sampled_from([1, 2, 3, 64, bands._BUCKET]),
+    block=st.sampled_from([1, 2, 7, bands._BLOCK]),
+)
+def test_a_batch_equals_the_per_window_rule_at_every_index(inputs, window_days, target, bucket, block):
+    """NaN in the batch exactly where the reference finds no calibratable record."""
+    forecast, vol, mask, at = inputs
+    with mock.patch.object(bands, "_BUCKET", bucket), mock.patch.object(bands, "_BLOCK", block):
+        alphas = calibrate_alpha(forecast, vol, mask, np.array(at, dtype=np.int64), window_days, target)
+    assert alphas.dtype == np.float64 and alphas.shape == (len(at),)
+    for k, alpha in zip(at, alphas.tolist()):
+        try:
+            expected = reference_calibrate(forecast, vol, mask, k, window_days, target).hex()
+        except UncalibratableWindowError:
+            expected = None
+            with pytest.raises(UncalibratableWindowError):
+                calibrate_alpha(forecast, vol, mask, k, window_days, target)
+        else:
+            assert calibrate_alpha(forecast, vol, mask, k, window_days, target).hex() == expected
+        assert (None if math.isnan(alpha) else alpha.hex()) == expected
+
+
+def test_a_batch_takes_a_1d_integer_array_of_indices_in_range():
+    f, v, mask = tracks_from_ratios(np.arange(1.0, 11.0))
+    alphas = calibrate_alpha(f, v, mask, np.array([10, 0]))
+    assert alphas[0] == 7.0 and math.isnan(alphas[1])
+    assert calibrate_alpha(f, v, mask, np.array([], dtype=int)).shape == (0,)
+    for bad in (np.array([[10]]), np.array([10.0]), [10.0]):
+        with pytest.raises(ValueError, match="integer array"):
+            calibrate_alpha(f, v, mask, bad)
+    for outside in (-1, 11):
+        with pytest.raises(ValueError, match="outside"):
+            calibrate_alpha(f, v, mask, np.array([5, outside]))
+    with pytest.raises(ValueError, match="outside"):
+        calibrate_alpha(f, v, mask, 2**70)
+
+
+def test_an_infinite_vol_pred_is_not_calibratable():
+    """Its ratio is 0 or, over an infinite vol, NaN: neither is a multiplier."""
+    f, v, mask = tracks_from_vol([np.inf, 5.0, 1.0], [np.inf, np.inf, 1.0])
+    assert calibrate_alpha(f, v, mask, at_index=3) == 1.0
+    assert calibrate_alpha(f, v, mask, np.array([3, 2])).tolist()[0] == 1.0
+    assert math.isnan(calibrate_alpha(f, v, mask, np.array([3, 2])).tolist()[1])

@@ -400,3 +400,21 @@ def test_report_scores_beyond_double_range_write_nothing(tmp_path, capsys):
         assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
     assert "NonFiniteScoreError: rmse, nrmse overflow double precision" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_a_trend_beyond_double_range_writes_nothing(tmp_path, capsys):
+    """forecast wrote 245 inf cells (exit 0), or ended in a RuntimeWarning traceback."""
+    values = np.zeros(4 * 1440)
+    rng = np.random.default_rng(0)
+    for day in range(4):
+        values[day * 1440 + 360 : day * 1440 + 1080] = rng.uniform(1e307, 1.7e308, 720)
+    series_csv = tmp_path / "series.csv"
+    series_csv.write_text(emit_csv(make_series(values)))
+    track_csv, outdir = tmp_path / "track.csv", tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("forecast", "--input", str(series_csv), "--output", str(track_csv)) == cli.EXIT_DATA
+        assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("NonFiniteTrendError: ") == 2 and "overflow double precision" in err
+    assert not track_csv.exists() and not outdir.exists()

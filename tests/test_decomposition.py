@@ -6,6 +6,7 @@ from conftest import make_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solarband import NonFiniteTrendError
 from solarband.decomposition import extract_trend
 
 
@@ -158,3 +159,28 @@ def test_errors():
         extract_trend(s, 1)
     with pytest.raises(ValueError):
         extract_trend(s, 11)
+
+
+def test_a_fit_beyond_double_range_is_refused_by_name():
+    """Daytime values near 1e308 overflowed the window sums: inf and NaN trends, no error."""
+    values = np.zeros(3 * 1440)
+    rng = np.random.default_rng(0)
+    for day in range(3):
+        values[day * 1440 + 360 : day * 1440 + 1080] = rng.uniform(1e307, 1.7e308, 720)
+    values[2000:2100] = np.nan
+    with pytest.raises(NonFiniteTrendError, match="gap-free trend windows overflow double precision, "
+                       "the first ending at sample 360$"):
+        extract_trend(make_series(values), 120)
+
+
+def test_gaps_and_large_finite_values_are_no_overflow():
+    """Only a gap leaves a window undefined; values up to 1e305 fit within range."""
+    rng = np.random.default_rng(1)
+    values = rng.uniform(0.0, 1e305, 2000)
+    values[[5, 700, 701, 1500]] = np.nan
+    d = extract_trend(make_series(values), 120)
+    gap = np.isnan(values)
+    touched = np.convolve(gap, np.ones(120), mode="full")[: values.size] > 0
+    touched[:119] = True
+    assert np.isfinite(d.trend[~touched]).all() and np.isfinite(d.fluctuation[~touched]).all()
+    assert np.isnan(d.trend[touched]).all()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import START, make_series
 
-from solarband.decomposition import extract_trend
+from solarband.decomposition import NonFiniteTrendError, extract_trend
 from solarband.forecast import persistence_forecast, trend_forecast
 
 
@@ -110,3 +110,14 @@ def test_horizon_validation():
         persistence_forecast(s, 0)
     with pytest.raises(ValueError):
         trend_forecast(s, extract_trend(s, 10), 0)
+
+
+def test_an_extrapolation_beyond_double_range_is_refused():
+    """Slopes of +-1e306 a minute carried 1000 minutes: inf, or a negative inf clamped to 0."""
+    values = np.tile([0.0, 1e306], 600)
+    s = make_series(values)
+    d = extract_trend(s, 2)
+    assert np.isfinite(d.trend[1:]).all()
+    with pytest.raises(NonFiniteTrendError, match="extrapolated 1000 minutes"):
+        trend_forecast(s, d, 1000)
+    assert np.isfinite(trend_forecast(s, d, 1).predicted[2:]).all()
