@@ -17,7 +17,7 @@ from .bands import (
     inside_band,
 )
 from .decomposition import Decomposition, NonFiniteTrendError, extract_trend
-from .forecast import ForecastTrack, persistence_forecast, trend_forecast
+from .forecast import ForecastTrack, trend_forecast
 from .normality import (
     DegenerateSampleError,
     Histogram,
@@ -82,7 +82,6 @@ __all__ = [
     "jarque_bera",
     "ks_normal",
     "lilliefors",
-    "persistence_forecast",
     "score",
     "trend_forecast",
     "volatility_track",

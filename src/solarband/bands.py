@@ -90,13 +90,6 @@ def fixed_band(forecast: ForecastTrack, vol: VolatilityTrack) -> BandTrack:
     )
 
 
-def _check_window(window_days: int, target: float) -> None:
-    if not 0.0 < target < 1.0:
-        raise ValueError("target must be in (0, 1)")
-    if window_days < 1:
-        raise ValueError("window_days must be >= 1")
-
-
 def _ranks(counts: np.ndarray, target: float) -> np.ndarray:
     """ceil(target * n) for each count n >= 1, in exact arithmetic.
 
@@ -205,7 +198,10 @@ def calibrate_alpha(
     solves each distinct set of calibratable records once, and selects every
     rank in one pass (see _order_statistics). An int is a batch of one.
     """
-    _check_window(window_days, target)
+    if not 0.0 < target < 1.0:
+        raise ValueError("target must be in (0, 1)")
+    if window_days < 1:
+        raise ValueError("window_days must be >= 1")
     check_aligned(forecast, vol, mask)
     n = len(forecast)
     scalar = np.ndim(at_index) == 0
@@ -259,12 +255,11 @@ def calibration_events(
     attempt is reported as None; the previous multiplier stays in force.
 
     Every grid point is calibrated in one :func:`calibrate_alpha` call on
-    the array of grid points.
+    the array of grid points, which checks the other arguments even when the
+    grid is empty.
     """
     if recal_every < 1:
         raise ValueError("recal_every must be >= 1")
-    _check_window(window_days, target)  # also when no grid point reaches calibrate_alpha
-    check_aligned(forecast, vol, mask)
     n = len(forecast)
     start_minute = int(forecast.start_time.timestamp()) // 60
     # Python ints clamped to the track: a huge recal_every cannot overflow int64.

@@ -1,4 +1,4 @@
-"""Hour-ahead irradiance forecasts: local-trend extrapolation and persistence."""
+"""Hour-ahead irradiance forecasts by local-trend extrapolation."""
 
 from __future__ import annotations
 
@@ -60,23 +60,6 @@ def trend_forecast(
                 f"a trend line extrapolated {horizon} minutes overflows double precision"
             )
         predicted[horizon:] = np.clip(extrapolated, 0.0, None)
-    return ForecastTrack(
-        start_time=series.start_time,
-        horizon=horizon,
-        predicted=predicted,
-        realized=values,
-    )
-
-
-def persistence_forecast(series: IrradianceSeries, horizon: int = DEFAULT_HORIZON) -> ForecastTrack:
-    """Forecast each sample by the value observed ``horizon`` minutes earlier."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    values = series.values
-    n = values.size
-    predicted = np.full(n, np.nan)
-    if horizon < n:
-        predicted[horizon:] = values[:-horizon]
     return ForecastTrack(
         start_time=series.start_time,
         horizon=horizon,

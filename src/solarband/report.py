@@ -26,8 +26,6 @@ from .series import (
     eligible,
 )
 
-SCORECARD_HEADER = "rmse,mae,nrmse,coverage,mean_band_width,n_scored"
-
 PLOT_KINDS = ("monthly", "zoom", "histogram")
 HISTOGRAM_BINS = 60
 
@@ -57,6 +55,9 @@ class ScoreCard:
     coverage: float
     mean_band_width: float
     n_scored: int
+
+
+SCORECARD_HEADER = ",".join(f.name for f in fields(ScoreCard))
 
 
 def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> ScoreCard:
@@ -96,15 +97,8 @@ def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> Score
 
 
 def scorecard_csv(card: ScoreCard) -> str:
-    fields = (
-        repr(card.rmse),
-        repr(card.mae),
-        repr(card.nrmse),
-        repr(card.coverage),
-        repr(card.mean_band_width),
-        str(card.n_scored),
-    )
-    return SCORECARD_HEADER + "\n" + ",".join(fields) + "\n"
+    row = ",".join(repr(getattr(card, f.name)) for f in fields(ScoreCard))
+    return SCORECARD_HEADER + "\n" + row + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +304,11 @@ def emit_plot(
 
     ``monthly`` draws the full span, ``zoom`` the [from, to) range, and
     ``histogram`` the daylight forecast-error distribution with its fitted
-    normal overlay.
+    normal overlay. A forecast or band must be aligned with the series.
     """
     if kind not in PLOT_KINDS:
         raise ValueError(f"kind must be one of {PLOT_KINDS}")
+    check_aligned(series, *(track for track in (forecast, band) if track is not None))
     if kind == "histogram":
         if forecast is None:
             raise ValueError("histogram kind needs a forecast track")

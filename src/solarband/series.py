@@ -127,9 +127,6 @@ class IrradianceSeries(FrozenTrack):
             raise ValueError(f"{when} is not on the minute grid")
         return minutes
 
-    def gap_mask(self) -> np.ndarray:
-        return np.isnan(self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class DaylightMask(FrozenTrack):
@@ -358,4 +355,4 @@ def emit_csv(series: IrradianceSeries) -> str:
     Round-trips bit-exactly through :func:`ingest_csv` provided the first
     and last samples are non-gap (boundary gaps have no row to anchor them).
     """
-    return write_grid_csv(CSV_HEADER, series.start_time, ~series.gap_mask(), series.values)
+    return write_grid_csv(CSV_HEADER, series.start_time, ~np.isnan(series.values), series.values)

@@ -63,37 +63,21 @@ class SynthConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _declination(day_of_year: int) -> float:
-    return 0.409 * math.sin(2.0 * math.pi * (day_of_year - 80) / 365.0)
-
-
-def _cos_hour_angle(minute_of_day: np.ndarray) -> np.ndarray:
-    return np.cos(np.radians(0.25 * (minute_of_day - 720.0)))  # 15 deg/h
-
-
-def solar_elevation_sine(latitude: float, day_of_year: int, minute_of_day: np.ndarray) -> np.ndarray:
-    """sin(solar elevation) from declination and hour angle, longitude 0.
-
-    Accuracy near a degree, which is ample for a test fixture.
-    """
-    declination = _declination(day_of_year)
-    lat = math.radians(latitude)
-    return math.sin(lat) * math.sin(declination) + math.cos(lat) * math.cos(
-        declination
-    ) * _cos_hour_angle(minute_of_day)
-
-
 def clear_sky_curve(cfg: SynthConfig) -> np.ndarray:
     """Cloudless per-minute irradiance over the configured span; 0 at night.
 
-    Each day is solar_elevation_sine's flat + tilt * cos(hour angle), so one
-    outer product gives every day, with the same rounding as a day at a time.
+    The peak times sin(solar elevation) from declination and hour angle at
+    longitude 0, accurate to about a degree, which is ample for a test
+    fixture. Each day is flat + tilt * cos(hour angle), so one outer product
+    gives every day, with the same rounding as a day at a time.
     """
     lat = math.radians(cfg.latitude)
-    declinations = [_declination((cfg.day_of_year - 1 + d) % 365 + 1) for d in range(cfg.days)]
+    days = [(cfg.day_of_year - 1 + d) % 365 + 1 for d in range(cfg.days)]
+    declinations = [0.409 * math.sin(2.0 * math.pi * (doy - 80) / 365.0) for doy in days]
     flat = np.array([math.sin(lat) * math.sin(dec) for dec in declinations])
     tilt = np.array([math.cos(lat) * math.cos(dec) for dec in declinations])
-    cos_hour = _cos_hour_angle(np.arange(MINUTES_PER_DAY, dtype=float))
+    minute_of_day = np.arange(MINUTES_PER_DAY, dtype=float)
+    cos_hour = np.cos(np.radians(0.25 * (minute_of_day - 720.0)))  # 15 deg/h
     elevation = tilt[:, None] * cos_hour + flat[:, None]
     return (cfg.clear_sky_peak * np.maximum(0.0, elevation)).ravel()
 

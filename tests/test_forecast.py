@@ -3,7 +3,7 @@ import pytest
 from conftest import START, make_series
 
 from solarband.decomposition import NonFiniteTrendError, extract_trend
-from solarband.forecast import persistence_forecast, trend_forecast
+from solarband.forecast import trend_forecast
 
 
 def _trend_track(values, window=30, horizon=60):
@@ -66,48 +66,8 @@ def test_mismatched_decomposition_rejected():
         trend_forecast(s1, d3, 60)
 
 
-def test_persistence_constant_series():
-    s = make_series(np.full(150, 99.0))
-    track = persistence_forecast(s, 60)
-    defined = ~np.isnan(track.predicted)
-    assert np.array_equal(track.predicted[defined], track.realized[defined])
-
-
-def test_persistence_ramp_constant_error():
-    k = np.arange(200, dtype=float)
-    s = make_series(10.0 + 2.0 * k)
-    track = persistence_forecast(s, 60)
-    err = track.realized[60:] - track.predicted[60:]
-    assert np.allclose(err, 120.0, atol=1e-9)
-
-
-def test_persistence_gap_propagates():
-    values = np.full(150, 5.0)
-    values[40] = np.nan
-    track = persistence_forecast(make_series(values), 60)
-    assert np.isnan(track.predicted[100])
-    assert not np.isnan(track.predicted[101])
-
-
-def test_persistence_identity():
-    rng = np.random.default_rng(17)
-    values = rng.uniform(0, 900, 300)
-    values[rng.random(300) < 0.1] = np.nan
-    values[0] = values[-1] = 1.0
-    track = persistence_forecast(make_series(values), 60)
-    for t in range(60, 300):
-        expected = values[t] - values[t - 60]
-        got = track.realized[t] - track.predicted[t]
-        if np.isnan(expected):
-            assert np.isnan(got)
-        else:
-            assert got == expected
-
-
 def test_horizon_validation():
     s = make_series(np.ones(100))
-    with pytest.raises(ValueError):
-        persistence_forecast(s, 0)
     with pytest.raises(ValueError):
         trend_forecast(s, extract_trend(s, 10), 0)
 

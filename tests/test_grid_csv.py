@@ -258,3 +258,34 @@ def test_parse_timestamp_uses_the_csv_stamp_rule():
                  "2021-02-29T00:00:00Z", "2021-03-01T00:00:00Z ", "2021-03-01T00:00:0١Z"):
         with pytest.raises(SeriesCsvError, match="malformed timestamp"):
             parse_timestamp(text)
+
+
+SMALL_SERIES = emit_csv(IrradianceSeries(T0, [0.0, 12.5, np.nan, 1e-05, 980.25]))
+SMALL_TRACK = cli.write_forecast_csv(
+    ForecastTrack(T0, 60, [np.nan, 3.0, 4.5, np.nan, 7.0], [1.0, np.nan, 2.0, np.nan, 0.0])
+)
+# Characters of the format and its near misses, then any character at all.
+EDIT_CHARS = st.sampled_from("0123456789,.-+:TZtzeEinfa \n\r\0") | st.characters()
+
+
+@st.composite
+def mutated(draw, text):
+    """text after 1-4 single-character insertions, deletions or replacements."""
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.sampled_from(range(len(text) + 1)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        char = "" if edit == "delete" else draw(EDIT_CHARS)
+        text = text[:at] + char + text[at + (edit != "insert"):]
+    return text
+
+
+@pytest.mark.parametrize("read, text", [(ingest_csv, SMALL_SERIES), (read_track, SMALL_TRACK)],
+                         ids=["series", "track"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, database=None)
+def test_a_mutated_file_parses_or_raises_a_format_error(read, text, data):
+    """Nothing but SeriesCsvError or TrackCsvError escapes a reader, warnings included."""
+    try:
+        read(data.draw(mutated(text)))
+    except (SeriesCsvError, cli.TrackCsvError):
+        pass

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -228,6 +229,20 @@ def test_unknown_kind_rejected():
     series, track, _, _, band = _pipeline_pieces()
     with pytest.raises(ValueError):
         emit_plot(series, track, band, "sparkline")
+
+
+def test_plots_refuse_tracks_not_aligned_with_the_series():
+    """A track or band a day off was drawn a day off, and a short forecast failed in numpy."""
+    series, track, _, _, band = _pipeline_pieces()
+    day = timedelta(days=1)
+    late_track = replace(track, start_time=track.start_time + day)
+    late_band = replace(band, start_time=band.start_time + day)
+    short_track = replace(track, predicted=track.predicted[:3000], realized=track.realized[:3000])
+    zoom = (series.start_time, series.start_time + day)
+    for kind in report.PLOT_KINDS:
+        for forecast, frontiers in ((late_track, late_band), (track, late_band), (short_track, None)):
+            with pytest.raises(ValueError, match="tracks are not aligned"):
+                emit_plot(series, forecast, frontiers, kind, zoom=zoom)
 
 
 def reference_polylines(canvas, xs, ys, defined, sx, sy, cls, style):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from solarband import synth
 from solarband.series import MAX_GRID_MINUTES
-from solarband.synth import REGIMES, SynthConfig, generate, solar_elevation_sine
+from solarband.synth import REGIMES, SynthConfig, generate
 
 
 def test_same_seed_bitwise_identical():
@@ -197,6 +197,14 @@ def test_a_year_sends_only_its_tail_through_the_sequential_path(monkeypatch, reg
     n = 365 * 1440
     synth._cloud_factor(SynthConfig(cloud_regime=regime, seed=31), n)
     assert sizes == [n % synth._LANE] and n % synth._LANE > 0
+
+
+def solar_elevation_sine(latitude, day_of_year, minute_of_day):
+    """sin(solar elevation) over one day's minutes from declination and hour angle, longitude 0."""
+    declination = 0.409 * math.sin(2.0 * math.pi * (day_of_year - 80) / 365.0)
+    cos_hour = np.cos(np.radians(0.25 * (minute_of_day - 720.0)))  # 15 deg/h
+    lat = math.radians(latitude)
+    return math.sin(lat) * math.sin(declination) + math.cos(lat) * math.cos(declination) * cos_hour
 
 
 def reference_clear_sky_curve(cfg):
