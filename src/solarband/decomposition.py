@@ -17,6 +17,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .series import FrozenTrack, IrradianceSeries
 
 DEFAULT_WINDOW = 120
+_ROWS = 32_768
+"""Trend windows fitted per block: 256 KB per block array, which stays in L2."""
+_FEW_ROWS = 4_096
+"""Fewer windows than this take the whole-view expressions: a block costs about
+2 * window numpy calls whatever its row count. Keep it above 1: numpy takes a
+single window's ``windows @ centered`` as a BLAS dot product, in its own order."""
 
 
 class NonFiniteTrendError(ValueError):
@@ -61,31 +67,108 @@ def extract_trend(series: IrradianceSeries, window: int = DEFAULT_WINDOW) -> Dec
     centered = offsets - half_span
     sxx = window * (window * window - 1.0) / 12.0
 
-    windows = sliding_window_view(values, window)
+    rows = n - window + 1
+    trend = np.full(n, np.nan)
+    slope = np.full(n, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fit is refused below
-        slope_tail = (windows @ centered) / sxx
-        trend_tail = windows.mean(axis=1) + slope_tail * half_span
-
-        trend = np.full(n, np.nan)
-        slope = np.full(n, np.nan)
-        trend[window - 1 :] = trend_tail
-        slope[window - 1 :] = slope_tail
+        if rows < _FEW_ROWS:
+            windows = sliding_window_view(values, window)
+            slope[window - 1 :] = (windows @ centered) / sxx
+            trend[window - 1 :] = windows.mean(axis=1) + slope[window - 1 :] * half_span
+        else:
+            _fit_blocks(values, centered, half_span, sxx, trend[window - 1 :], slope[window - 1 :])
         fluctuation = values - trend
     # A non-finite slope makes the trend, and so the fluctuation, non-finite;
-    # only a gap may leave it undefined.
-    tail = fluctuation[window - 1 :]
-    if not np.isfinite(tail).all():
-        gaps = np.concatenate(([0], np.cumsum(np.isnan(values))))
-        overflowed = ~np.isfinite(tail) & (gaps[window:] == gaps[:-window])
-        if overflowed.any():
-            raise NonFiniteTrendError(
-                f"{np.count_nonzero(overflowed)} gap-free trend windows overflow double precision, "
-                f"the first ending at sample {window - 1 + np.flatnonzero(overflowed)[0]}"
-            )
+    # only a gap may leave it undefined. Checked per block of windows, so
+    # memory stays at the three tracks.
+    overflowed = 0
+    for a in range(0, rows, _ROWS):
+        tail = fluctuation[window - 1 + a :][:_ROWS]
+        if np.isfinite(tail).all():
+            continue
+        gaps = np.concatenate(([0], np.cumsum(np.isnan(values[a : a + tail.size + window - 1]))))
+        bad = np.flatnonzero(~np.isfinite(tail) & (gaps[window:] == gaps[:-window]))
+        if bad.size and not overflowed:
+            first = window - 1 + a + bad[0]
+        overflowed += bad.size
+    if overflowed:
+        raise NonFiniteTrendError(
+            f"{overflowed} gap-free trend windows overflow double precision, "
+            f"the first ending at sample {first}"
+        )
 
+    for arr in (trend, fluctuation, slope):
+        arr.setflags(write=False)  # handed over uncopied
     return Decomposition(
         start_time=series.start_time,
         trend=trend,
         fluctuation=fluctuation,
         slope=slope,
     )
+
+
+def _fit_blocks(
+    values: np.ndarray,
+    centered: np.ndarray,
+    half_span: float,
+    sxx: float,
+    trend: np.ndarray,
+    slope: np.ndarray,
+) -> None:
+    """Fill ``trend`` and ``slope`` for the windows ``values[k : k + w]``, block by block.
+
+    Each result has the bits of the whole-view expressions. The non-BLAS
+    ``windows @ centered`` sums values[k + j] * centered[j] in order from +0.0,
+    which whole-block passes repeat over j. ``windows.mean(axis=1)`` divides
+    numpy's pairwise sum of the window (``_pairwise_sums``), added to +0.0,
+    by w. That +0.0 is left out: a sum is -0.0 only if every term is, and
+    then the slope is +0.0 and the trend +0.0 either way. The blocks are of
+    balanced size, so none is small.
+    """
+    w = centered.size
+    rows = slope.size
+    count = -(-rows // _ROWS)
+    edges = [rows * i // count for i in range(count + 1)]
+    scratch = np.empty(-(-rows // count))
+    for a, b in zip(edges[:-1], edges[1:]):
+        buf = scratch[: b - a]
+        acc = slope[a:b]
+        acc.fill(0.0)
+        for j, c in enumerate(centered.tolist()):
+            np.multiply(values[a + j : b + j], c, out=buf)
+            acc += buf
+        acc /= sxx
+        mean = _pairwise_sums(values[a : b + w - 1], w)
+        mean /= w
+        np.multiply(acc, half_span, out=buf)
+        np.add(mean, buf, out=trend[a:b])
+
+
+def _pairwise_sums(x: np.ndarray, n: int) -> np.ndarray:
+    """numpy's pairwise sum of every n-long window of ``x``, one window per output.
+
+    Below 8 terms numpy adds in order. Up to 128 it keeps 8 accumulators
+    r[i] = x[i] + x[i + 8] + ..., adds them as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the n % 8 leftover terms in order. Above
+    128 it adds the sums of the first n2 = n//2 - (n//2) % 8 terms and of the
+    rest.
+    """
+    rows = x.size - n + 1
+    if n > 128:
+        n2 = n // 2 - n // 2 % 8
+        return _pairwise_sums(x[: rows + n2 - 1], n2) + _pairwise_sums(x[n2:], n - n2)
+    if n < 8:
+        total = x[:rows].copy()
+        leftover = range(1, n)
+    else:
+        # Window k's accumulator r[i] is lanes[k + i], the in-order sum of x[k + i + 8g].
+        lanes = x[: rows + 7].copy()
+        for g in range(8, n - n % 8, 8):
+            lanes += x[g : g + rows + 7]
+        pairs = lanes[:-1] + lanes[1:]
+        quads = pairs[:-2] + pairs[2:]
+        total = quads[:-4] + quads[4:]
+        leftover = range(n - n % 8, n)
+    for i in leftover:
+        total += x[i : i + rows]
+    return total

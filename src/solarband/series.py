@@ -51,9 +51,12 @@ class MisalignedTimestampError(SeriesCsvError):
 
 
 class FrozenTrack:
-    """Frozen dataclass base: the ``_arrays`` fields are read-only copies of one length.
+    """Frozen dataclass base: the ``_arrays`` fields are read-only arrays of one length.
 
-    Copying leaves the caller's arrays writable; the common length is ``len()``.
+    Each field is a copy, which leaves the caller's array writable, unless it
+    is already a read-only array of the field's dtype that owns its memory:
+    a producer that freezes the arrays it made hands them over uncopied. The
+    common length is ``len()``.
     """
 
     _arrays: ClassVar[tuple[str, ...]]
@@ -61,8 +64,11 @@ class FrozenTrack:
 
     def __post_init__(self) -> None:
         for name in self._arrays:
-            arr = np.array(getattr(self, name), dtype=self._dtype)
-            arr.setflags(write=False)
+            arr = getattr(self, name)
+            frozen = isinstance(arr, np.ndarray) and arr.base is None and not arr.flags.writeable
+            if not (frozen and arr.dtype == self._dtype):
+                arr = np.array(arr, dtype=self._dtype)
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if len({getattr(self, name).size for name in self._arrays}) > 1:
             raise ValueError(f"{type(self).__name__} fields {self._arrays} must have equal length")
@@ -130,8 +136,13 @@ class IrradianceSeries(FrozenTrack):
 
 @dataclass(frozen=True, eq=False)
 class DaylightMask(FrozenTrack):
-    """Per-sample eligibility flags: non-gap and strictly above ``eps_day``."""
+    """Per-sample eligibility flags: non-gap and strictly above ``eps_day``.
 
+    ``start_time`` is the flagged series', so ``check_aligned`` refuses a
+    mask laid over a track on another grid.
+    """
+
+    start_time: datetime
     flags: np.ndarray
     eps_day: float
 
@@ -141,7 +152,11 @@ class DaylightMask(FrozenTrack):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DaylightMask):
             return NotImplemented
-        return self.eps_day == other.eps_day and np.array_equal(self.flags, other.flags)
+        return (
+            self.start_time == other.start_time
+            and self.eps_day == other.eps_day
+            and np.array_equal(self.flags, other.flags)
+        )
 
 
 def eligible(flags: np.ndarray, *fields: np.ndarray) -> np.ndarray:
@@ -157,7 +172,7 @@ def daylight_mask(series: IrradianceSeries, eps_day: float = DEFAULT_EPS_DAY) ->
         raise ValueError("eps_day must be >= 0")
     values = series.values
     flags = ~np.isnan(values) & (values > eps_day)
-    return DaylightMask(flags=flags, eps_day=float(eps_day))
+    return DaylightMask(start_time=series.start_time, flags=flags, eps_day=float(eps_day))
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)

@@ -19,7 +19,7 @@ def make_series(values, start=START):
 
 
 def all_daylight(n):
-    return DaylightMask(flags=np.ones(n, dtype=bool), eps_day=0.0)
+    return DaylightMask(start_time=START, flags=np.ones(n, dtype=bool), eps_day=0.0)
 
 
 def run_pipeline(days, regime, seed, window=120, horizon=60, eps_day=5.0):

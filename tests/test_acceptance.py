@@ -114,7 +114,7 @@ def test_criterion_4_calibration_matches_brute_force():
 
 def test_criterion_5_calibrated_band_with_unit_alpha_equals_fixed_band():
     _, track, vol, _ = run_pipeline(days=5, regime="broken", seed=505)
-    dark = DaylightMask(flags=np.zeros(len(track), dtype=bool), eps_day=0.0)
+    dark = DaylightMask(track.start_time, np.zeros(len(track), dtype=bool), 0.0)
     forced_unit = calibrated_band(track, vol, dark)  # never calibrates: alpha 1 everywhere
     reference = fixed_band(track, vol)
     assert (forced_unit.alpha == 1.0).all()

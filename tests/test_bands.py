@@ -159,7 +159,7 @@ def test_warmup_falls_back_to_unit_alpha():
 
 def test_never_calibratable_mask_reproduces_fixed_band():
     _, track, vol, mask = run_pipeline(days=4, regime="broken", seed=5)
-    dark = DaylightMask(flags=np.zeros(len(track), dtype=bool), eps_day=0.0)
+    dark = DaylightMask(track.start_time, np.zeros(len(track), dtype=bool), 0.0)
     band = calibrated_band(track, vol, dark)
     reference = fixed_band(track, vol)
     assert np.array_equal(band.lower, reference.lower, equal_nan=True)
@@ -204,7 +204,7 @@ def test_recalibration_grid_is_absolute():
     v2 = VolatilityTrack(
         start2, track.horizon, vol.diff[offset:], vol.vol[offset:], vol.vol_pred[offset:]
     )
-    m2 = DaylightMask(flags=mask.flags[offset:], eps_day=mask.eps_day)
+    m2 = DaylightMask(start_time=start2, flags=mask.flags[offset:], eps_day=mask.eps_day)
     full = dict(calibration_events(track, vol, mask, window_days=3))
     cut = dict(calibration_events(f2, v2, m2, window_days=3))
     comparable = [k for k in full if k - 3 * 1440 >= offset]
@@ -404,7 +404,7 @@ def calibration_tracks(n, offset, seed, dawn, dusk, dropout, ties, gap_runs, out
     start = START + timedelta(minutes=offset)
     forecast = ForecastTrack(start, 60, np.zeros(n), vol)
     volatility = VolatilityTrack(start, 60, vol, vol, vol_pred)
-    return forecast, volatility, DaylightMask(flags=flags, eps_day=0.0)
+    return forecast, volatility, DaylightMask(start_time=start, flags=flags, eps_day=0.0)
 
 
 @st.composite
@@ -456,7 +456,7 @@ def tracks_from_vol(vol, vol_pred, flags=None):
     vol = np.asarray(vol, dtype=float)
     f = ForecastTrack(START, 60, np.zeros(vol.size), vol)
     v = VolatilityTrack(START, 60, vol, vol, vol_pred)
-    mask = all_daylight(vol.size) if flags is None else DaylightMask(flags=flags, eps_day=0.0)
+    mask = all_daylight(vol.size) if flags is None else DaylightMask(START, flags, 0.0)
     return f, v, mask
 
 

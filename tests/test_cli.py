@@ -109,6 +109,7 @@ def test_report_equals_composed_subcommands(tmp_path):
     track = cli.read_forecast_csv(track_csv.read_text(), horizon=60)
     vol = volatility_track(track)
     mask = DaylightMask(
+        start_time=track.start_time,
         flags=~np.isnan(track.realized) & (track.realized > 5.0), eps_day=5.0
     )
     band = calibrated_band(track, vol, mask)

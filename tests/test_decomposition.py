@@ -1,13 +1,63 @@
+import tracemalloc
 from math import fsum
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import make_series
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from solarband import NonFiniteTrendError
-from solarband.decomposition import extract_trend
+from solarband import NonFiniteTrendError, decomposition
+from solarband.decomposition import DEFAULT_WINDOW, Decomposition, extract_trend
+from solarband.synth import SynthConfig, generate
+
+
+def reference_extract_trend(series, window=DEFAULT_WINDOW):
+    """The whole-view fit, kept verbatim as the reference for the block form."""
+    if window < 2:
+        raise ValueError("window must be >= 2")
+    values = series.values
+    n = values.size
+    if n < window:
+        raise ValueError(f"series has {n} samples, needs >= {window}")
+
+    # Centered abscissa makes the normal equations diagonal; the window sum
+    # of squared offsets has the closed form w(w^2 - 1)/12.
+    offsets = np.arange(window, dtype=float)
+    half_span = (window - 1) / 2.0
+    centered = offsets - half_span
+    sxx = window * (window * window - 1.0) / 12.0
+
+    windows = sliding_window_view(values, window)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fit is refused below
+        slope_tail = (windows @ centered) / sxx
+        trend_tail = windows.mean(axis=1) + slope_tail * half_span
+
+        trend = np.full(n, np.nan)
+        slope = np.full(n, np.nan)
+        trend[window - 1 :] = trend_tail
+        slope[window - 1 :] = slope_tail
+        fluctuation = values - trend
+    # A non-finite slope makes the trend, and so the fluctuation, non-finite;
+    # only a gap may leave it undefined.
+    tail = fluctuation[window - 1 :]
+    if not np.isfinite(tail).all():
+        gaps = np.concatenate(([0], np.cumsum(np.isnan(values))))
+        overflowed = ~np.isfinite(tail) & (gaps[window:] == gaps[:-window])
+        if overflowed.any():
+            raise NonFiniteTrendError(
+                f"{np.count_nonzero(overflowed)} gap-free trend windows overflow double precision, "
+                f"the first ending at sample {window - 1 + np.flatnonzero(overflowed)[0]}"
+            )
+
+    return Decomposition(
+        start_time=series.start_time,
+        trend=trend,
+        fluctuation=fluctuation,
+        slope=slope,
+    )
 
 
 def fit_endpoint_oracle(window_values):
@@ -184,3 +234,104 @@ def test_gaps_and_large_finite_values_are_no_overflow():
     touched[:119] = True
     assert np.isfinite(d.trend[~touched]).all() and np.isfinite(d.fluctuation[~touched]).all()
     assert np.isnan(d.trend[touched]).all()
+
+
+def trend_values(kind, n, seed, gap_rate):
+    """Values of one regime, with -0.0 and NaN gaps sprinkled in.
+
+    ``mixed`` puts subnormal and 1e300-scale values among ordinary ones;
+    ``huge`` has runs near 1.7e308 whose window sums overflow; ``zeros``
+    alternates runs of 0.0 and -0.0, so some window sums are -0.0, which the
+    +0.0 each numpy sum starts from turns into 0.0; ``synth`` is 30 broken
+    days (n is then 43,200) with an outage and bursts of gaps.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "zeros":
+        runs = np.resize([0.0, -0.0] if rng.random() < 0.5 else [-0.0, 0.0], n)
+        values = np.repeat(runs, rng.integers(1, 41, n))[:n]
+        values[rng.random(n) < gap_rate] = np.nan
+        return values
+    if kind == "synth":
+        values = generate(SynthConfig(days=30, cloud_regime="broken", seed=seed)).values.copy()
+        n = values.size
+        values[5000:5360] = np.nan
+        for lo in rng.integers(0, n, 400):
+            values[lo : lo + rng.integers(3, 31)] = np.nan
+        return values
+    values = rng.uniform(0.0, 1200.0, n)
+    if kind == "mixed":
+        values *= rng.choice([1.0, 5e-324, 1e-310, 1e300], n, p=[0.7, 0.1, 0.1, 0.1])
+    elif kind == "huge":
+        lo = int(rng.integers(0, n))
+        values[lo : lo + int(rng.integers(1, n + 1))] = rng.uniform(1e307, 1.7e308)
+    values[rng.random(n) < 0.05] = -0.0
+    values[rng.random(n) < gap_rate] = np.nan
+    return values
+
+
+def fit_or_error(fit, series, window):
+    try:
+        return fit(series, window)
+    except NonFiniteTrendError as err:
+        return str(err)
+
+
+# Leaf sizes at the edges of numpy's three summation regimes (in order below 8,
+# 8 accumulators up to 128, halving above), two windows in blocks of one, a window
+# as long as the series, and 30 gappy days at the default window on both paths.
+# ``few`` stays above 1: numpy takes a single window's ``windows @ centered`` as a
+# BLAS dot product, whose order of summation is its own.
+@example(7, 300, 0, "mixed", 0.01, 7, 2)
+@example(8, 300, 1, "mixed", 0.01, 2, 2)
+@example(128, 300, 2, "mixed", 0.01, 7, 2)
+@example(129, 300, 3, "mixed", 0.01, 2, 2)
+@example(136, 300, 4, "mixed", 0.0, 7, 2)
+@example(517, 1, 5, "mixed", 0.0, 1, 2)
+@example(600, 0, 6, "plain", 0.0, decomposition._ROWS, decomposition._FEW_ROWS)
+@example(DEFAULT_WINDOW, 0, 7, "synth", 0.0, decomposition._ROWS, decomposition._FEW_ROWS)
+@example(DEFAULT_WINDOW, 0, 8, "synth", 0.0, 7, 2)
+@example(120, 200, 9, "huge", 0.02, 2, 2)
+@example(8, 200, 10, "zeros", 0.0, 7, 2)
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    window=st.one_of(st.integers(2, 7), st.integers(8, 128), st.integers(129, 600)),
+    extra=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["plain", "mixed", "huge", "zeros"]),
+    gap_rate=st.sampled_from([0.0, 0.01, 0.2]),
+    rows=st.sampled_from([1, 2, 7, decomposition._ROWS]),
+    few=st.sampled_from([2, 150, decomposition._FEW_ROWS]),
+)
+def test_block_fit_is_the_whole_view_fit_bit_for_bit(window, extra, seed, kind, gap_rate, rows, few):
+    """Trend, slope and fluctuation have the reference's bytes, or both raise the same error.
+
+    Where both sides are NaN the payload is not compared: numpy's own add
+    picks either operand's NaN depending on the loop, so a window holding a
+    gap and an inf - inf has no one NaN to match.
+    """
+    series = make_series(trend_values(kind, window + extra, seed, gap_rate))
+    want = fit_or_error(reference_extract_trend, series, window)
+    with mock.patch.object(decomposition, "_ROWS", rows), mock.patch.object(decomposition, "_FEW_ROWS", few):
+        got = fit_or_error(extract_trend, series, window)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in ("trend", "slope", "fluctuation"):
+        a, b = getattr(got, name), getattr(want, name)
+        both_nan = np.isnan(a) & np.isnan(b)
+        assert np.array_equal(a[~both_nan].view(np.int64), b[~both_nan].view(np.int64)), name
+
+
+def test_fit_peak_memory_stays_within_three_tracks_and_block_buffers():
+    """The whole-view fit peaked at about 9 tracks: products, means, copies and a gap prefix sum."""
+    values = generate(SynthConfig(days=365, cloud_regime="broken", seed=1)).values.copy()
+    values[np.random.default_rng(1).random(values.size) < 0.03] = np.nan
+    series = make_series(values)
+    n = values.size
+    tracemalloc.start()
+    try:
+        extract_trend(series, DEFAULT_WINDOW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (3 * n + 8 * decomposition._ROWS)
