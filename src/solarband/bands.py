@@ -16,7 +16,7 @@ import numpy as np
 
 from .forecast import ForecastTrack
 from .risk import VolatilityTrack
-from .series import DaylightMask, FrozenTrack, check_aligned, eligible
+from .series import DaylightMask, FrozenTrack, check_aligned, eligible, frozen
 
 DEFAULT_TARGET = 0.68
 DEFAULT_WINDOW_DAYS = 3
@@ -84,9 +84,9 @@ def fixed_band(forecast: ForecastTrack, vol: VolatilityTrack) -> BandTrack:
     lower, upper = _frontiers(forecast.predicted, vol.vol_pred, alpha)
     return BandTrack(
         start_time=forecast.start_time,
-        lower=lower,
-        upper=upper,
-        alpha=alpha,
+        lower=frozen(lower),
+        upper=frozen(upper),
+        alpha=frozen(alpha),
     )
 
 
@@ -294,8 +294,8 @@ def calibrated_band(
     lower, upper = _frontiers(forecast.predicted, vol.vol_pred, alpha)
     return BandTrack(
         start_time=forecast.start_time,
-        lower=lower,
-        upper=upper,
-        alpha=alpha,
+        lower=frozen(lower),
+        upper=frozen(upper),
+        alpha=frozen(alpha),
         events=tuple(events),
     )

@@ -14,15 +14,11 @@ from datetime import datetime
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import FrozenTrack, IrradianceSeries
+from .series import FrozenTrack, IrradianceSeries, frozen
 
 DEFAULT_WINDOW = 120
 _ROWS = 32_768
 """Trend windows fitted per block: 256 KB per block array, which stays in L2."""
-_FEW_ROWS = 4_096
-"""Fewer windows than this take the whole-view expressions: a block costs about
-2 * window numpy calls whatever its row count. Keep it above 1: numpy takes a
-single window's ``windows @ centered`` as a BLAS dot product, in its own order."""
 
 
 class NonFiniteTrendError(ValueError):
@@ -71,10 +67,10 @@ def extract_trend(series: IrradianceSeries, window: int = DEFAULT_WINDOW) -> Dec
     trend = np.full(n, np.nan)
     slope = np.full(n, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fit is refused below
-        if rows < _FEW_ROWS:
+        if rows == 1:  # numpy computes a single window's product as a BLAS dot, in its own order
             windows = sliding_window_view(values, window)
-            slope[window - 1 :] = (windows @ centered) / sxx
-            trend[window - 1 :] = windows.mean(axis=1) + slope[window - 1 :] * half_span
+            slope[-1:] = (windows @ centered) / sxx
+            trend[-1:] = windows.mean(axis=1) + slope[-1:] * half_span
         else:
             _fit_blocks(values, centered, half_span, sxx, trend[window - 1 :], slope[window - 1 :])
         fluctuation = values - trend
@@ -97,13 +93,11 @@ def extract_trend(series: IrradianceSeries, window: int = DEFAULT_WINDOW) -> Dec
             f"the first ending at sample {first}"
         )
 
-    for arr in (trend, fluctuation, slope):
-        arr.setflags(write=False)  # handed over uncopied
     return Decomposition(
         start_time=series.start_time,
-        trend=trend,
-        fluctuation=fluctuation,
-        slope=slope,
+        trend=frozen(trend),
+        fluctuation=frozen(fluctuation),
+        slope=frozen(slope),
     )
 
 

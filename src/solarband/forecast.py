@@ -8,7 +8,7 @@ from datetime import datetime
 import numpy as np
 
 from .decomposition import Decomposition, NonFiniteTrendError
-from .series import FrozenTrack, IrradianceSeries, check_aligned
+from .series import FrozenTrack, IrradianceSeries, check_aligned, frozen
 
 DEFAULT_HORIZON = 60
 
@@ -59,10 +59,10 @@ def trend_forecast(
             raise NonFiniteTrendError(
                 f"a trend line extrapolated {horizon} minutes overflows double precision"
             )
-        predicted[horizon:] = np.clip(extrapolated, 0.0, None)
+        np.clip(extrapolated, 0.0, None, out=predicted[horizon:])
     return ForecastTrack(
         start_time=series.start_time,
         horizon=horizon,
-        predicted=predicted,
+        predicted=frozen(predicted),
         realized=values,
     )

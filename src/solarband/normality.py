@@ -18,6 +18,7 @@ Critical values come from three different places:
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -55,6 +56,13 @@ class NormalityReport:
     threshold: float
     level: float
     reject: bool
+
+
+def _decide(
+    test_name: str, n: int, statistic: float, threshold: float, level: float
+) -> NormalityReport:
+    """The one decision rule: reject iff the statistic exceeds the threshold; a tie keeps."""
+    return NormalityReport(test_name, n, statistic, threshold, level, reject=statistic > threshold)
 
 
 def _validate_sample(x: np.ndarray, level: float) -> np.ndarray:
@@ -100,14 +108,7 @@ def jarque_bera(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
     excess_kurtosis = m4 / m2**2 - 3.0
     statistic = n / 6.0 * (skewness**2 + excess_kurtosis**2 / 4.0)
     threshold = float(chi2.ppf(1.0 - level, df=2))
-    return NormalityReport(
-        test_name="jarque_bera",
-        n=n,
-        statistic=statistic,
-        threshold=threshold,
-        level=level,
-        reject=statistic > threshold,
-    )
+    return _decide("jarque_bera", n, statistic, threshold, level)
 
 
 def _supremum_distance(z_sorted: np.ndarray) -> np.ndarray:
@@ -176,24 +177,24 @@ def ks_normal(
     n = x.size
     statistic = float(_supremum_distance(np.sort((x - mean) / std)))
     threshold = asymptotic_distance_quantile(level) / math.sqrt(n)
-    return NormalityReport(
-        test_name="kolmogorov_smirnov",
-        n=n,
-        statistic=statistic,
-        threshold=threshold,
-        level=level,
-        reject=statistic > threshold,
-    )
+    return _decide("kolmogorov_smirnov", n, statistic, threshold, level)
 
 
-def lilliefors_statistic(x: np.ndarray) -> float:
-    """Sup distance after standardizing by the sample mean and std (ddof=1)."""
+def lilliefors_statistic(x: np.ndarray) -> float | np.ndarray:
+    """Sup distance after standardizing by the sample mean and std (ddof=1), per last-axis row.
+
+    A 1-d sample gives a float. A row whose std is zero or overflows raises
+    :class:`DegenerateSampleError`.
+    """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        std = float(x.std(ddof=1))
-    if not 0.0 < std < math.inf:
-        raise DegenerateSampleError(f"degenerate sample: std {std!r} is zero or overflows")
-    return float(_supremum_distance(np.sort((x - x.mean()) / std)))
+        std = x.std(axis=-1, ddof=1, keepdims=True)
+    bad = ~((0.0 < std) & (std < math.inf))  # NaN too
+    if bad.any():
+        first = float(std[bad][0])
+        raise DegenerateSampleError(f"degenerate sample: std {first!r} is zero or overflows")
+    distance = _supremum_distance(np.sort((x - x.mean(axis=-1, keepdims=True)) / std))
+    return float(distance) if x.ndim == 1 else distance
 
 
 def lilliefors(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
@@ -217,14 +218,7 @@ def lilliefors(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
     n = x.size
     statistic = lilliefors_statistic(x)
     threshold = lilliefors_critical(n, level)
-    return NormalityReport(
-        test_name="lilliefors",
-        n=n,
-        statistic=statistic,
-        threshold=threshold,
-        level=level,
-        reject=statistic > threshold,
-    )
+    return _decide("lilliefors", n, statistic, threshold, level)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +234,7 @@ def generate_table(
     """Simulate null critical values for the estimated-parameter test.
 
     For each sample size, ``replicates`` standard-normal samples are drawn,
-    the statistic computed exactly as :func:`lilliefors_statistic` does, and
+    the statistic computed by :func:`lilliefors_statistic` itself, and
     critical values read off as conservative order statistics. Each size gets
     its own child seed, so per-size results do not depend on which sizes are
     requested together.
@@ -256,10 +250,7 @@ def generate_table(
         chunk = max(1, 4_000_000 // n)
         while done < replicates:
             m = min(chunk, replicates - done)
-            samples = rng.standard_normal((m, n))
-            means = samples.mean(axis=1, keepdims=True)
-            stds = samples.std(axis=1, ddof=1, keepdims=True)
-            stats[done : done + m] = _supremum_distance(np.sort((samples - means) / stds, axis=1))
+            stats[done : done + m] = lilliefors_statistic(rng.standard_normal((m, n)))
             done += m
         stats.sort()
         for level in TABLE_LEVELS:
@@ -289,15 +280,9 @@ def parse_table(text: str) -> dict[float, list[tuple[int, float]]]:
     return by_level
 
 
-_PACKAGED_TABLE: dict[float, list[tuple[int, float]]] | None = None
-
-
+@functools.cache
 def _packaged_table() -> dict[float, list[tuple[int, float]]]:
-    global _PACKAGED_TABLE
-    if _PACKAGED_TABLE is None:
-        text = resources.files("solarband").joinpath(f"data/{TABLE_FILENAME}").read_text()
-        _PACKAGED_TABLE = parse_table(text)
-    return _PACKAGED_TABLE
+    return parse_table(resources.files("solarband").joinpath(f"data/{TABLE_FILENAME}").read_text())
 
 
 def lilliefors_critical(n: int, level: float = DEFAULT_LEVEL) -> float:

@@ -192,8 +192,8 @@ def _x_tick(canvas: _Canvas, px: float, label: str) -> None:
     canvas.add(f'<text x="{_fmt(px)}" y="{_HEIGHT - _MB + 18}" text-anchor="middle">{label}</text>')
 
 
-def _polylines(canvas: _Canvas, xs, ys, defined, sx, sy, cls: str, style: str) -> None:
-    """One polyline per run of defined samples; a gap splits the line.
+def _polylines(canvas: _Canvas, xs, ys, sx, sy, cls: str, style: str) -> None:
+    """One polyline per run of defined (non-NaN) samples; a gap splits the line.
 
     ``sx``/``sy`` map whole arrays with the per-point float operations, and
     each run is one ``%``-format, so the text equals per-point ``_fmt``.
@@ -201,7 +201,7 @@ def _polylines(canvas: _Canvas, xs, ys, defined, sx, sy, cls: str, style: str) -
     xy = np.empty((len(xs), 2))
     xy[:, 0] = sx(xs)
     xy[:, 1] = sy(ys)
-    for start, stop in _runs(defined):
+    for start, stop in _runs(~np.isnan(ys)):
         coords = tuple(xy[start:stop].ravel().tolist())
         points = " ".join(["%.2f,%.2f"] * (stop - start)) % coords
         canvas.add(f'<polyline class="{cls}" fill="none" {style} points="{points}"/>')
@@ -238,17 +238,11 @@ def render_series_svg(
     xs = np.arange(lo, hi)
     if band is not None:
         dash = 'stroke="black" stroke-dasharray="6,4"'
-        lower = band.lower[lo:hi]
-        upper = band.upper[lo:hi]
-        _polylines(canvas, xs, lower, ~np.isnan(lower), sx, sy, "band-lower", dash)
-        _polylines(canvas, xs, upper, ~np.isnan(upper), sx, sy, "band-upper", dash)
-    measured = series.values[lo:hi]
-    _polylines(canvas, xs, measured, ~np.isnan(measured), sx, sy, "measured", 'stroke="blue"')
+        _polylines(canvas, xs, band.lower[lo:hi], sx, sy, "band-lower", dash)
+        _polylines(canvas, xs, band.upper[lo:hi], sx, sy, "band-upper", dash)
+    _polylines(canvas, xs, series.values[lo:hi], sx, sy, "measured", 'stroke="blue"')
     if forecast is not None:
-        predicted = forecast.predicted[lo:hi]
-        _polylines(
-            canvas, xs, predicted, ~np.isnan(predicted), sx, sy, "predicted", 'stroke="red"'
-        )
+        _polylines(canvas, xs, forecast.predicted[lo:hi], sx, sy, "predicted", 'stroke="red"')
     return canvas.text()
 
 
@@ -278,8 +272,7 @@ def render_histogram_svg(hist: Histogram, title: str) -> str:
             f'width="{_fmt(right - left)}" height="{_fmt(floor - top)}" '
             f'fill="blue" fill-opacity="0.55"/>'
         )
-    whole = np.ones(len(hist.curve_x), dtype=bool)
-    _polylines(canvas, hist.curve_x, hist.curve_y, whole, sx, sy, "normal-curve", 'stroke="red"')
+    _polylines(canvas, hist.curve_x, hist.curve_y, sx, sy, "normal-curve", 'stroke="red"')
     return canvas.text()
 
 

@@ -8,7 +8,7 @@ from datetime import datetime
 import numpy as np
 
 from .forecast import ForecastTrack
-from .series import DaylightMask, FrozenTrack, check_aligned, eligible
+from .series import DaylightMask, FrozenTrack, check_aligned, eligible, frozen
 
 
 class NoDefinedRecordsError(ValueError):
@@ -48,9 +48,9 @@ def volatility_track(track: ForecastTrack) -> VolatilityTrack:
     return VolatilityTrack(
         start_time=track.start_time,
         horizon=track.horizon,
-        diff=diff,
-        vol=vol,
-        vol_pred=vol_pred,
+        diff=frozen(diff),
+        vol=frozen(vol),
+        vol_pred=frozen(vol_pred),
     )
 
 

@@ -55,8 +55,8 @@ class FrozenTrack:
 
     Each field is a copy, which leaves the caller's array writable, unless it
     is already a read-only array of the field's dtype that owns its memory:
-    a producer that freezes the arrays it made hands them over uncopied. The
-    common length is ``len()``.
+    a producer hands the arrays it made over uncopied through :func:`frozen`.
+    The common length is ``len()``.
     """
 
     _arrays: ClassVar[tuple[str, ...]]
@@ -65,16 +65,25 @@ class FrozenTrack:
     def __post_init__(self) -> None:
         for name in self._arrays:
             arr = getattr(self, name)
-            frozen = isinstance(arr, np.ndarray) and arr.base is None and not arr.flags.writeable
-            if not (frozen and arr.dtype == self._dtype):
-                arr = np.array(arr, dtype=self._dtype)
-                arr.setflags(write=False)
+            kept = isinstance(arr, np.ndarray) and arr.base is None and not arr.flags.writeable
+            if not (kept and arr.dtype == self._dtype):
+                arr = frozen(np.array(arr, dtype=self._dtype))
             object.__setattr__(self, name, arr)
         if len({getattr(self, name).size for name in self._arrays}) > 1:
             raise ValueError(f"{type(self).__name__} fields {self._arrays} must have equal length")
 
     def __len__(self) -> int:
         return getattr(self, self._arrays[0]).size
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Make ``arr`` read-only in place and return it.
+
+    A producer passes each new array it made to a FrozenTrack through this,
+    and the track holds it uncopied.
+    """
+    arr.setflags(write=False)
+    return arr
 
 
 def check_aligned(*tracks: FrozenTrack) -> None:
@@ -109,10 +118,10 @@ class IrradianceSeries(FrozenTrack):
             raise ValueError("start_time must have minute precision")
         if values.ndim != 1 or values.size < 1:
             raise ValueError("values must be a non-empty 1-d array")
-        gap = np.isnan(values)
-        if not np.isfinite(values[~gap]).all():
+        # A gap is NaN, which is neither inf nor below 0.
+        if np.isinf(values).any():
             raise ValueError("non-gap values must be finite")
-        if (values[~gap] < 0).any():
+        if (values < 0).any():
             raise ValueError("irradiance values must be >= 0")
 
     def __eq__(self, other: object) -> bool:
@@ -170,8 +179,7 @@ def daylight_mask(series: IrradianceSeries, eps_day: float = DEFAULT_EPS_DAY) ->
     """Flag samples that are non-gap and strictly above ``eps_day`` W/m^2."""
     if not eps_day >= 0:  # NaN too: it would flag no sample
         raise ValueError("eps_day must be >= 0")
-    values = series.values
-    flags = ~np.isnan(values) & (values > eps_day)
+    flags = frozen(series.values > eps_day)  # a gap is NaN, which compares false
     return DaylightMask(start_time=series.start_time, flags=flags, eps_day=float(eps_day))
 
 

@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .series import MAX_GRID_MINUTES, IrradianceSeries
+from .series import MAX_GRID_MINUTES, IrradianceSeries, frozen
 
 REFERENCE_YEAR = 2021
 MINUTES_PER_DAY = 1440
@@ -218,4 +218,4 @@ def generate(cfg: SynthConfig) -> IrradianceSeries:
     start = datetime(REFERENCE_YEAR, 1, 1, tzinfo=timezone.utc) + timedelta(
         days=cfg.day_of_year - 1
     )
-    return IrradianceSeries(start_time=start, values=clear * factor)
+    return IrradianceSeries(start_time=start, values=frozen(clear * factor))

@@ -3,13 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import kolmogi
 from scipy.stats import norm
 
+from solarband import normality
 from solarband.normality import (
+    TABLE_LEVELS,
+    TABLE_SIZES,
     DegenerateSampleError,
+    _decide,
+    _supremum_distance,
     asymptotic_distance_quantile,
     diff_histogram,
     format_table,
@@ -190,6 +195,63 @@ def test_table_generation_deterministic_and_parseable():
     # per-size child seeds: requesting a superset must not change a bucket
     only25 = generate_table(seed=9, replicates=2000, sizes=[25])
     assert [r for r in rows if r[0] == 25] == only25
+
+
+def test_lilliefors_statistic_of_rows_is_each_rows_statistic():
+    rows = np.random.default_rng(45).standard_normal((5, 40))
+    rows[2] *= 1e3
+    got = lilliefors_statistic(rows)
+    assert got.shape == (5,)
+    assert got.tolist() == [lilliefors_statistic(row) for row in rows]
+    rows[3] = 1.0
+    with pytest.raises(DegenerateSampleError, match=r"^degenerate sample: std 0\.0 is zero or overflows$"):
+        lilliefors_statistic(rows)
+
+
+def reference_generate_table(seed, replicates, sizes):
+    """The batched loop that spelled the statistic out a second time, kept as the reference."""
+    rows = []
+    for n in sorted(sizes):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+        stats = np.empty(replicates)
+        done = 0
+        chunk = max(1, 4_000_000 // n)
+        while done < replicates:
+            m = min(chunk, replicates - done)
+            samples = rng.standard_normal((m, n))
+            means = samples.mean(axis=1, keepdims=True)
+            stds = samples.std(axis=1, ddof=1, keepdims=True)
+            stats[done : done + m] = _supremum_distance(np.sort((samples - means) / stds, axis=1))
+            done += m
+        stats.sort()
+        for level in TABLE_LEVELS:
+            rank = math.ceil((1.0 - level) * replicates)
+            rows.append((n, level, float(stats[rank - 1])))
+    return rows
+
+
+# 4,001 draws a chunk of 999 samples, then a chunk of one.
+@example(seed=7, replicates=1000, sizes=[4001])
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    replicates=st.integers(1000, 2000),
+    sizes=st.lists(st.sampled_from(TABLE_SIZES), min_size=1, max_size=3, unique=True),
+)
+def test_table_is_the_reference_loop_bit_for_bit(seed, replicates, sizes):
+    got = generate_table(seed=seed, replicates=replicates, sizes=sizes)
+    want = reference_generate_table(seed, replicates, sizes)
+    assert [(n, lv, c.hex()) for n, lv, c in got] == [(n, lv, c.hex()) for n, lv, c in want]
+
+
+def test_a_statistic_equal_to_its_threshold_is_no_reject(monkeypatch):
+    assert not _decide("t", 10, 0.25, 0.25, 0.05).reject
+    assert _decide("t", 10, math.nextafter(0.25, 1.0), 0.25, 0.05).reject
+    x = np.random.default_rng(46).standard_normal(100)
+    monkeypatch.setattr(normality, "lilliefors_critical", lambda n, level: lilliefors_statistic(x))
+    report = lilliefors(x)
+    assert report.statistic == report.threshold
+    assert not report.reject
 
 
 # ---------------------------------------------------------------------------

@@ -245,9 +245,9 @@ def test_plots_refuse_tracks_not_aligned_with_the_series():
                 emit_plot(series, forecast, frontiers, kind, zoom=zoom)
 
 
-def reference_polylines(canvas, xs, ys, defined, sx, sy, cls, style):
+def reference_polylines(canvas, xs, ys, sx, sy, cls, style):
     """The per-point formatter the array version replaced: one ``_fmt`` per coordinate."""
-    for start, stop in report._runs(defined):
+    for start, stop in report._runs(~np.isnan(ys)):
         points = " ".join(
             f"{report._fmt(sx(xs[k]))},{report._fmt(sy(ys[k]))}" for k in range(start, stop)
         )

@@ -1,18 +1,21 @@
 """Every track type freezes its arrays, copied unless already frozen, and keeps them aligned."""
 
+import tracemalloc
 from dataclasses import replace
 from datetime import timedelta
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import START, all_daylight, run_pipeline_with_band
 
-from solarband.bands import BandTrack, calibrate_alpha
-from solarband.decomposition import Decomposition
-from solarband.forecast import ForecastTrack
+from solarband.bands import BandTrack, calibrate_alpha, calibrated_band, fixed_band
+from solarband.decomposition import Decomposition, extract_trend
+from solarband.forecast import ForecastTrack, trend_forecast
 from solarband.report import score
-from solarband.risk import VolatilityTrack, daylight_errors
+from solarband.risk import VolatilityTrack, daylight_errors, volatility_track
 from solarband.series import DaylightMask, IrradianceSeries, daylight_mask
+from solarband.synth import SynthConfig, generate
 
 # Each builder takes the track's array fields in order; the number is how many.
 TRACKS = {
@@ -99,3 +102,48 @@ def test_a_mask_of_another_day_is_refused(call):
     }
     with pytest.raises(ValueError, match="^tracks are not aligned: start_time differs$"):
         calls[call]()
+
+
+YEAR = SynthConfig(days=365, cloud_regime="broken", seed=1)
+
+
+@pytest.fixture(scope="module")
+def year():
+    """A year of minutes with 3% of samples gapped, through every stage."""
+    values = generate(YEAR).values.copy()
+    values[np.random.default_rng(1).random(values.size) < 0.03] = np.nan
+    y = SimpleNamespace(series=IrradianceSeries(START, values))
+    y.fit = extract_trend(y.series)
+    y.track = trend_forecast(y.series, y.fit)
+    y.vol = volatility_track(y.track)
+    y.mask = daylight_mask(y.series)
+    return y
+
+
+# Peak tracemalloc memory of each producer on that year, in tracks of 8 bytes a
+# sample: the arrays it hands over, its temporaries, and some slack. Copying the
+# arrays it made into the track would add one track a field (1/8 for flags).
+PEAKS = {
+    "generate": (4.25, lambda y: generate(YEAR)),  # was 5.25
+    "daylight_mask": (0.2, lambda y: daylight_mask(y.series)),  # was 0.25
+    "trend_forecast": (2.25, lambda y: trend_forecast(y.series, y.fit)),  # was 3.0
+    "volatility_track": (3.25, lambda y: volatility_track(y.track)),  # was 6.0
+    "fixed_band": (4.25, lambda y: fixed_band(y.track, y.vol)),  # was 6.0
+    "calibrated_band": (  # was 6.3
+        4.5, lambda y: calibrated_band(y.track, y.vol, y.mask, window_days=7, recal_every=60)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PEAKS)
+def test_a_producer_hands_over_the_arrays_it_made_uncopied(name, year):
+    bound, produce = PEAKS[name]
+    tracemalloc.start()
+    try:
+        produced = produce(year)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = [v for v in vars(produced).values() if isinstance(v, np.ndarray)]
+    assert all(not arr.flags.writeable for arr in held)
+    assert peak <= bound * 8 * len(produced)
