@@ -50,9 +50,9 @@ class BandTrack(FrozenTrack):
 
 def _frontiers(predicted: np.ndarray, vol_pred: np.ndarray, alpha: np.ndarray):
     halfwidth = alpha * vol_pred
-    lower = np.clip(predicted - halfwidth, 0.0, None)
-    upper = predicted + halfwidth
-    return lower, upper
+    lower = predicted - halfwidth
+    np.clip(lower, 0.0, None, out=lower)
+    return lower, np.add(predicted, halfwidth, out=halfwidth)
 
 
 def inside_band(realized: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -284,13 +284,10 @@ def calibrated_band(
     """
     events = calibration_events(forecast, vol, mask, window_days, target, recal_every)
     alpha = np.ones(len(forecast))
-    if events:
-        ks = [k for k, _ in events]
-        in_force, current = [], 1.0
-        for _, value in events:
-            current = current if value is None else value
-            in_force.append(current)
-        alpha[ks[0]:] = np.repeat(in_force, np.diff(ks, append=len(forecast)))
+    successes = [(k, value) for k, value in events if value is not None]
+    if successes:
+        ks, values = zip(*successes)
+        alpha[ks[0]:] = np.repeat(values, np.diff(ks, append=len(forecast)))
     lower, upper = _frontiers(forecast.predicted, vol.vol_pred, alpha)
     return BandTrack(
         start_time=forecast.start_time,

@@ -25,9 +25,9 @@ from .series import (
     DaylightMask,
     IrradianceSeries,
     SeriesCsvError,
+    _stamps,
     daylight_mask,
     emit_csv,
-    format_timestamp,
     format_value,
     ingest_csv,
     parse_timestamp,
@@ -164,9 +164,11 @@ def _cmd_bands(args: argparse.Namespace) -> int:
     track = read_forecast_csv(Path(args.input).read_text(), args.horizon)
     band = _calibrated_band_from_track(track, _track_daylight(track, args.eps_day), args)
     Path(args.output).write_text(write_band_csv(band))
-    for k, alpha in band.events:
-        stamp = format_timestamp(track.start_time + k * CADENCE)
-        print(f"{stamp} alpha={format_value(alpha) if alpha is not None else 'unchanged'}")
+    stamps = _stamps(track.start_time, np.array([k for k, _ in band.events], dtype=np.int64))
+    sys.stdout.write("".join(
+        f"{stamp} alpha={format_value(alpha) if alpha is not None else 'unchanged'}\n"
+        for stamp, (_, alpha) in zip(stamps, band.events)
+    ))
     return EXIT_OK
 
 

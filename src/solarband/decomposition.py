@@ -63,35 +63,11 @@ def extract_trend(series: IrradianceSeries, window: int = DEFAULT_WINDOW) -> Dec
     centered = offsets - half_span
     sxx = window * (window * window - 1.0) / 12.0
 
-    rows = n - window + 1
     trend = np.full(n, np.nan)
     slope = np.full(n, np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fit is refused below
-        if rows == 1:  # numpy computes a single window's product as a BLAS dot, in its own order
-            windows = sliding_window_view(values, window)
-            slope[-1:] = (windows @ centered) / sxx
-            trend[-1:] = windows.mean(axis=1) + slope[-1:] * half_span
-        else:
-            _fit_blocks(values, centered, half_span, sxx, trend[window - 1 :], slope[window - 1 :])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fit is refused in the fit
+        _fit_blocks(values, centered, half_span, sxx, trend[window - 1 :], slope[window - 1 :])
         fluctuation = values - trend
-    # A non-finite slope makes the trend, and so the fluctuation, non-finite;
-    # only a gap may leave it undefined. Checked per block of windows, so
-    # memory stays at the three tracks.
-    overflowed = 0
-    for a in range(0, rows, _ROWS):
-        tail = fluctuation[window - 1 + a :][:_ROWS]
-        if np.isfinite(tail).all():
-            continue
-        gaps = np.concatenate(([0], np.cumsum(np.isnan(values[a : a + tail.size + window - 1]))))
-        bad = np.flatnonzero(~np.isfinite(tail) & (gaps[window:] == gaps[:-window]))
-        if bad.size and not overflowed:
-            first = window - 1 + a + bad[0]
-        overflowed += bad.size
-    if overflowed:
-        raise NonFiniteTrendError(
-            f"{overflowed} gap-free trend windows overflow double precision, "
-            f"the first ending at sample {first}"
-        )
 
     return Decomposition(
         start_time=series.start_time,
@@ -113,29 +89,47 @@ def _fit_blocks(
 
     Each result has the bits of the whole-view expressions. The non-BLAS
     ``windows @ centered`` sums values[k + j] * centered[j] in order from +0.0,
-    which whole-block passes repeat over j. ``windows.mean(axis=1)`` divides
-    numpy's pairwise sum of the window (``_pairwise_sums``), added to +0.0,
-    by w. That +0.0 is left out: a sum is -0.0 only if every term is, and
-    then the slope is +0.0 and the trend +0.0 either way. The blocks are of
-    balanced size, so none is small.
+    which whole-block passes repeat over j; a lone window is a block of one
+    row, whose product numpy takes as a BLAS dot, in its own order.
+    ``windows.mean(axis=1)`` divides numpy's pairwise sum of the window
+    (``_pairwise_sums``), added to +0.0, by w. That +0.0 is left out: a sum
+    is -0.0 only if every term is, and then the slope is +0.0 and the trend
+    +0.0 either way. The blocks are of balanced size, so none is small.
+
+    Values are finite and >= 0, so a window's sum is NaN exactly when the
+    window holds a gap. A non-finite trend whose window sum is a number is an
+    overflow, and any raises NonFiniteTrendError once every block is fitted.
     """
     w = centered.size
     rows = slope.size
     count = -(-rows // _ROWS)
     edges = [rows * i // count for i in range(count + 1)]
     scratch = np.empty(-(-rows // count))
+    overflowed = 0
     for a, b in zip(edges[:-1], edges[1:]):
         buf = scratch[: b - a]
         acc = slope[a:b]
-        acc.fill(0.0)
-        for j, c in enumerate(centered.tolist()):
-            np.multiply(values[a + j : b + j], c, out=buf)
-            acc += buf
+        if rows == 1:
+            acc[:] = sliding_window_view(values, w) @ centered
+        else:
+            acc.fill(0.0)
+            for j, c in enumerate(centered.tolist()):
+                np.multiply(values[a + j : b + j], c, out=buf)
+                acc += buf
         acc /= sxx
         mean = _pairwise_sums(values[a : b + w - 1], w)
         mean /= w
         np.multiply(acc, half_span, out=buf)
-        np.add(mean, buf, out=trend[a:b])
+        fit = np.add(mean, buf, out=trend[a:b])
+        bad = np.flatnonzero(~np.isfinite(fit) & ~np.isnan(mean))
+        if bad.size and not overflowed:
+            first = w - 1 + a + bad[0]
+        overflowed += bad.size
+    if overflowed:
+        raise NonFiniteTrendError(
+            f"{overflowed} gap-free trend windows overflow double precision, "
+            f"the first ending at sample {first}"
+        )
 
 
 def _pairwise_sums(x: np.ndarray, n: int) -> np.ndarray:

@@ -226,10 +226,6 @@ def _stamps(start: datetime, k: np.ndarray) -> list[str]:
     return np.datetime_as_string(origin + k, unit="s", timezone="UTC").tolist()
 
 
-def format_timestamp(when: datetime) -> str:
-    return _stamps(when, np.zeros(1, dtype=np.int64))[0]
-
-
 def format_value(value: float) -> str:
     """Shortest decimal rendering that parses back to the same float.
 

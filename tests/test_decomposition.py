@@ -278,9 +278,11 @@ def fit_or_error(fit, series, window):
 
 # Leaf sizes at the edges of numpy's three summation regimes (in order below 8,
 # 8 accumulators up to 128, halving above), two windows in blocks of one, a window
-# as long as the series (the one window the whole-view expressions still fit: numpy
-# takes its ``windows @ centered`` as a BLAS dot product, in its own order), 4,095
-# windows in one block, and 30 gappy days at the default window.
+# as long as the series (a block of one row: numpy takes its ``windows @ centered``
+# as a BLAS dot product, in its own order), 4,095
+# windows in one block, and 30 gappy days at the default window. Two more lone
+# windows: one whose fit overflows, so the error's count and sample come from a
+# block of one row, and one whose huge values meet a gap, which is no overflow.
 @example(7, 300, 0, "mixed", 0.01, 7)
 @example(8, 300, 1, "mixed", 0.01, 2)
 @example(128, 300, 2, "mixed", 0.01, 7)
@@ -293,6 +295,8 @@ def fit_or_error(fit, series, window):
 @example(DEFAULT_WINDOW, 0, 8, "synth", 0.0, 7)
 @example(120, 200, 9, "huge", 0.02, 2)
 @example(8, 200, 10, "zeros", 0.0, 7)
+@example(120, 0, 12, "huge", 0.0, decomposition._ROWS)
+@example(300, 0, 13, "huge", 0.01, decomposition._ROWS)
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     window=st.one_of(st.integers(2, 7), st.integers(8, 128), st.integers(129, 600)),

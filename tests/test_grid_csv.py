@@ -21,8 +21,8 @@ from solarband.series import (
     NegativeIrradianceError,
     NonMonotoneTimestampError,
     SeriesCsvError,
+    _stamps,
     emit_csv,
-    format_timestamp,
     format_value,
     ingest_csv,
     parse_timestamp,
@@ -45,6 +45,11 @@ def gappy(draw, n):
 
 def bits(arr):
     return np.asarray(arr, dtype=float).view(np.uint64)
+
+
+def format_timestamp(when):
+    """The one stamp of ``when``, as the CSV writers and ``bands`` print it."""
+    return _stamps(when, np.zeros(1, dtype=np.int64))[0]
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -128,9 +128,9 @@ PEAKS = {
     "daylight_mask": (0.2, lambda y: daylight_mask(y.series)),  # was 0.25
     "trend_forecast": (2.25, lambda y: trend_forecast(y.series, y.fit)),  # was 3.0
     "volatility_track": (3.25, lambda y: volatility_track(y.track)),  # was 6.0
-    "fixed_band": (4.25, lambda y: fixed_band(y.track, y.vol)),  # was 6.0
-    "calibrated_band": (  # was 6.3
-        4.5, lambda y: calibrated_band(y.track, y.vol, y.mask, window_days=7, recal_every=60)
+    "fixed_band": (3.25, lambda y: fixed_band(y.track, y.vol)),  # was 4.25
+    "calibrated_band": (  # was 4.5
+        3.5, lambda y: calibrated_band(y.track, y.vol, y.mask, window_days=7, recal_every=60)
     ),
 }
 
