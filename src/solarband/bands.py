@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
 from .forecast import ForecastTrack
 from .risk import VolatilityTrack
-from .series import DaylightMask, FrozenTrack, check_aligned, eligible, frozen
+from .series import MINUTES_PER_DAY, DaylightMask, FrozenTrack, check_aligned, eligible, frozen
 
 DEFAULT_TARGET = 0.68
 DEFAULT_WINDOW_DAYS = 3
-DEFAULT_RECAL_MINUTES = 1440
-MINUTES_PER_DAY = 1440
+DEFAULT_RECAL_MINUTES = MINUTES_PER_DAY
 
 
 class UncalibratableWindowError(ValueError):
@@ -39,7 +37,6 @@ class BandTrack(FrozenTrack):
     :func:`calibration_events`; the fixed band has none.
     """
 
-    start_time: datetime
     lower: np.ndarray
     upper: np.ndarray
     alpha: np.ndarray
@@ -48,11 +45,22 @@ class BandTrack(FrozenTrack):
     _arrays = ("lower", "upper", "alpha")
 
 
-def _frontiers(predicted: np.ndarray, vol_pred: np.ndarray, alpha: np.ndarray):
-    halfwidth = alpha * vol_pred
+def _band(
+    forecast: ForecastTrack,
+    vol: VolatilityTrack,
+    alpha: np.ndarray,
+    events: tuple[tuple[int, float | None], ...] = (),
+) -> BandTrack:
+    """The band ``predicted +/- alpha * vol_pred`` on the forecast's grid, lower frontier clamped at 0.
+
+    ``alpha`` is held uncopied: the caller hands over an array it made.
+    """
+    predicted = forecast.predicted
+    halfwidth = alpha * vol.vol_pred
     lower = predicted - halfwidth
     np.clip(lower, 0.0, None, out=lower)
-    return lower, np.add(predicted, halfwidth, out=halfwidth)
+    upper = np.add(predicted, halfwidth, out=halfwidth)
+    return BandTrack(forecast.start_time, frozen(lower), frozen(upper), frozen(alpha), events)
 
 
 def inside_band(realized: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -80,14 +88,7 @@ def _ratios(vol: VolatilityTrack, mask: DaylightMask, span: slice) -> tuple[np.n
 def fixed_band(forecast: ForecastTrack, vol: VolatilityTrack) -> BandTrack:
     """Band with unit width multiplier: predicted +/- vol_pred, clamped at 0."""
     check_aligned(forecast, vol)
-    alpha = np.ones(len(forecast))
-    lower, upper = _frontiers(forecast.predicted, vol.vol_pred, alpha)
-    return BandTrack(
-        start_time=forecast.start_time,
-        lower=frozen(lower),
-        upper=frozen(upper),
-        alpha=frozen(alpha),
-    )
+    return _band(forecast, vol, np.ones(len(forecast)))
 
 
 def _ranks(counts: np.ndarray, target: float) -> np.ndarray:
@@ -288,11 +289,4 @@ def calibrated_band(
     if successes:
         ks, values = zip(*successes)
         alpha[ks[0]:] = np.repeat(values, np.diff(ks, append=len(forecast)))
-    lower, upper = _frontiers(forecast.predicted, vol.vol_pred, alpha)
-    return BandTrack(
-        start_time=forecast.start_time,
-        lower=frozen(lower),
-        upper=frozen(upper),
-        alpha=frozen(alpha),
-        events=tuple(events),
-    )
+    return _band(forecast, vol, alpha, tuple(events))

@@ -116,10 +116,6 @@ def _run_normtests(track: ForecastTrack, eps_day: float, level: float):
 # ---------------------------------------------------------------------------
 
 
-def _read_series(path: str) -> IrradianceSeries:
-    return ingest_csv(Path(path).read_text())
-
-
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = synth.SynthConfig(
         latitude=args.latitude,
@@ -139,7 +135,7 @@ def _forecast_from_series(series: IrradianceSeries, window: int, horizon: int) -
 
 
 def _cmd_forecast(args: argparse.Namespace) -> int:
-    series = _read_series(args.input)
+    series = ingest_csv(Path(args.input).read_text())
     track = _forecast_from_series(series, args.window_w, args.horizon)
     if np.isnan(track.predicted).all():
         raise ValueError(f"no defined prediction: each needs a gap-free --window-w {args.window_w} "
@@ -189,7 +185,7 @@ def _default_zoom(series: IrradianceSeries) -> tuple[datetime, datetime]:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    series = _read_series(args.input)
+    series = ingest_csv(Path(args.input).read_text())
     if args.zoom_from and args.zoom_to:
         zoom = (parse_timestamp(args.zoom_from), parse_timestamp(args.zoom_to))
     elif args.zoom_from or args.zoom_to:

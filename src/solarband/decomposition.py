@@ -9,7 +9,6 @@ reconstructs the input exactly wherever both are defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,7 +32,6 @@ class Decomposition(FrozenTrack):
     forecaster can extrapolate the same local line without refitting.
     """
 
-    start_time: datetime
     trend: np.ndarray
     fluctuation: np.ndarray
     slope: np.ndarray

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
@@ -21,7 +20,6 @@ class ForecastTrack(FrozenTrack):
     earlier; NaN marks an undefined record. Predictions are >= 0.
     """
 
-    start_time: datetime
     horizon: int
     predicted: np.ndarray
     realized: np.ndarray

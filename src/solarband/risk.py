@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
@@ -23,7 +22,6 @@ class VolatilityTrack(FrozenTrack):
     minutes earlier, i.e. exactly ``vol[t - horizon]`` where that is defined.
     """
 
-    start_time: datetime
     horizon: int
     diff: np.ndarray
     vol: np.ndarray

@@ -18,11 +18,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 CADENCE = timedelta(minutes=1)
+MINUTES_PER_DAY = 1440
 DEFAULT_EPS_DAY = 5.0
 
 CSV_HEADER = "timestamp,ghi_wm2"
 STAMP_LEN = 20  # YYYY-MM-DDTHH:MM:SSZ
-MAX_GRID_MINUTES = 5 * 366 * 1440
+MAX_GRID_MINUTES = 5 * 366 * MINUTES_PER_DAY
 """Longest grid a CSV may span (five leap years); a longer span is a format error."""
 
 
@@ -50,19 +51,31 @@ class MisalignedTimestampError(SeriesCsvError):
     """A row's timestamp is not aligned to a whole minute."""
 
 
+@dataclass(frozen=True, eq=False)
 class FrozenTrack:
-    """Frozen dataclass base: the ``_arrays`` fields are read-only arrays of one length.
+    """Frozen dataclass base: a track on the UTC minute grid from ``start_time``.
 
-    Each field is a copy, which leaves the caller's array writable, unless it
-    is already a read-only array of the field's dtype that owns its memory:
-    a producer hands the arrays it made over uncopied through :func:`frozen`.
-    The common length is ``len()``.
+    ``start_time`` must be timezone-aware UTC with minute precision, so every
+    track sits on one absolute grid whatever the machine's zone. The
+    ``_arrays`` fields are read-only arrays of one length, ``len()``. Each is
+    a copy, which leaves the caller's array writable, unless it is already a
+    read-only array of the field's dtype that owns its memory: a producer
+    hands the arrays it made over uncopied through :func:`frozen`.
+
+    Tracks compare by value: same type and every field equal, NaN equal to
+    NaN. A track is unhashable.
     """
+
+    start_time: datetime
 
     _arrays: ClassVar[tuple[str, ...]]
     _dtype: ClassVar[type] = float
 
     def __post_init__(self) -> None:
+        if self.start_time.tzinfo is None or self.start_time.utcoffset() != timedelta(0):
+            raise ValueError("start_time must be timezone-aware UTC")
+        if self.start_time.second != 0 or self.start_time.microsecond != 0:
+            raise ValueError("start_time must have minute precision")
         for name in self._arrays:
             arr = getattr(self, name)
             kept = isinstance(arr, np.ndarray) and arr.base is None and not arr.flags.writeable
@@ -71,6 +84,17 @@ class FrozenTrack:
             object.__setattr__(self, name, arr)
         if len({getattr(self, name).size for name in self._arrays}) > 1:
             raise ValueError(f"{type(self).__name__} fields {self._arrays} must have equal length")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        theirs = vars(other)
+        return all(
+            np.array_equal(mine, theirs[name], equal_nan=self._dtype is float)
+            if name in self._arrays
+            else mine == theirs[name]
+            for name, mine in vars(self).items()
+        )
 
     def __len__(self) -> int:
         return getattr(self, self._arrays[0]).size
@@ -104,7 +128,6 @@ class IrradianceSeries(FrozenTrack):
     minutes.
     """
 
-    start_time: datetime
     values: np.ndarray
 
     _arrays = ("values",)
@@ -112,10 +135,6 @@ class IrradianceSeries(FrozenTrack):
     def __post_init__(self) -> None:
         super().__post_init__()
         values = self.values
-        if self.start_time.tzinfo is None or self.start_time.utcoffset() != timedelta(0):
-            raise ValueError("start_time must be timezone-aware UTC")
-        if self.start_time.second != 0 or self.start_time.microsecond != 0:
-            raise ValueError("start_time must have minute precision")
         if values.ndim != 1 or values.size < 1:
             raise ValueError("values must be a non-empty 1-d array")
         # A gap is NaN, which is neither inf nor below 0.
@@ -123,13 +142,6 @@ class IrradianceSeries(FrozenTrack):
             raise ValueError("non-gap values must be finite")
         if (values < 0).any():
             raise ValueError("irradiance values must be >= 0")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IrradianceSeries):
-            return NotImplemented
-        return self.start_time == other.start_time and np.array_equal(
-            self.values, other.values, equal_nan=True
-        )
 
     def time_at(self, index: int) -> datetime:
         return self.start_time + index * CADENCE
@@ -151,21 +163,11 @@ class DaylightMask(FrozenTrack):
     mask laid over a track on another grid.
     """
 
-    start_time: datetime
     flags: np.ndarray
     eps_day: float
 
     _arrays = ("flags",)
     _dtype = bool
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DaylightMask):
-            return NotImplemented
-        return (
-            self.start_time == other.start_time
-            and self.eps_day == other.eps_day
-            and np.array_equal(self.flags, other.flags)
-        )
 
 
 def eligible(flags: np.ndarray, *fields: np.ndarray) -> np.ndarray:
@@ -208,7 +210,7 @@ def _decode_stamps(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     days = months.astype("datetime64[D]") + (day - 1)
     bad |= (year < 1) | (month < 1) | (month > 12) | (hour > 23) | (minute > 59) | (second > 59)
     bad |= (day < 1) | (days.astype("datetime64[M]") != months)  # day 31 of a 30-day month
-    return bad, days.astype(np.int64) * 1440 + hour * 60 + minute, second
+    return bad, days.astype(np.int64) * MINUTES_PER_DAY + hour * 60 + minute, second
 
 
 def parse_timestamp(text: str) -> datetime:

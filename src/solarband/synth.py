@@ -14,10 +14,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .series import MAX_GRID_MINUTES, IrradianceSeries, frozen
+from .series import MAX_GRID_MINUTES, MINUTES_PER_DAY, IrradianceSeries, frozen
 
 REFERENCE_YEAR = 2021
-MINUTES_PER_DAY = 1440
 CLOUD_FLOOR = 0.05
 CLOUD_CEIL = 1.0
 

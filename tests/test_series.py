@@ -105,10 +105,6 @@ def test_series_invariants():
         make_series([np.inf])
     with pytest.raises(ValueError):
         make_series([])
-    with pytest.raises(ValueError):
-        make_series([1.0], start=START.replace(tzinfo=None))
-    with pytest.raises(ValueError):
-        make_series([1.0], start=START.replace(second=30))
 
 
 def test_values_are_immutable():

@@ -1,8 +1,9 @@
-"""Every track type freezes its arrays, copied unless already frozen, and keeps them aligned."""
+"""Every track type sits on the UTC minute grid, freezes its arrays, copied unless already
+frozen, keeps them aligned, and compares by value."""
 
 import tracemalloc
 from dataclasses import replace
-from datetime import timedelta
+from datetime import timedelta, timezone
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from conftest import START, all_daylight, run_pipeline_with_band
 
 from solarband.bands import BandTrack, calibrate_alpha, calibrated_band, fixed_band
+from solarband.cli import write_forecast_csv
 from solarband.decomposition import Decomposition, extract_trend
 from solarband.forecast import ForecastTrack, trend_forecast
 from solarband.report import score
@@ -26,6 +28,54 @@ TRACKS = {
     "VolatilityTrack": (3, lambda a, b, c: VolatilityTrack(START, 60, a, b, c)),
     "BandTrack": (3, lambda a, b, c: BandTrack(START, a, b, c)),
 }
+
+
+OFF_GRID = {
+    "naive": START.replace(tzinfo=None),
+    "+01:00": START.astimezone(timezone(timedelta(hours=1))),  # the same instant, another zone
+    "00:00:30": START.replace(second=30),
+}
+
+
+@pytest.mark.parametrize("start", OFF_GRID)
+@pytest.mark.parametrize("name", TRACKS)
+def test_track_refuses_a_start_off_the_utc_minute_grid(name, start):
+    """A naive start anchored the recalibration grid to the machine's zone."""
+    arity, build = TRACKS[name]
+    track = build(*[np.ones(3) for _ in range(arity)])
+    with pytest.raises(ValueError, match="^start_time must"):
+        replace(track, start_time=OFF_GRID[start])
+
+
+def test_a_forecast_track_of_another_zone_never_reaches_the_writer():
+    """At 01:00+01:00 the writer stamped its first row 01:00:00Z, an hour late."""
+    with pytest.raises(ValueError, match="^start_time must be timezone-aware UTC$"):
+        write_forecast_csv(ForecastTrack(OFF_GRID["+01:00"], 60, np.ones(2), np.ones(2)))
+
+
+# A new value of each scalar field a track type has.
+SCALARS = {"horizon": 30, "eps_day": 6.0, "events": ((0, 2.0),)}
+
+
+@pytest.mark.parametrize("name", TRACKS)
+def test_tracks_compare_by_value(name):
+    arity, build = TRACKS[name]
+    given = [np.array([1.0, np.nan, 3.0]) for _ in range(arity)]
+    track = build(*given)
+    assert track == build(*[arr.copy() for arr in given])  # NaN in the same places
+    assert track != replace(track, start_time=START + timedelta(minutes=1))
+    for field in SCALARS.keys() & vars(track).keys():
+        assert track != replace(track, **{field: SCALARS[field]})
+    for field, arr in vars(track).items():
+        if isinstance(arr, np.ndarray):
+            changed = arr.copy()
+            changed[0] = 0
+            assert track != replace(track, **{field: changed})
+    for other, (other_arity, other_build) in TRACKS.items():
+        if other != name:
+            assert track != other_build(*[given[0]] * other_arity)
+    with pytest.raises(TypeError):
+        hash(track)
 
 
 @pytest.mark.parametrize("name", TRACKS)
@@ -85,7 +135,6 @@ def test_a_mask_keeps_its_series_start_time():
     series = IrradianceSeries(START, np.array([0.0, 9.0, np.nan]))
     mask = daylight_mask(series)
     assert mask.start_time == START
-    assert mask != replace(mask, start_time=START + timedelta(days=1))
     assert mask == DaylightMask(START, [False, True, False], mask.eps_day)
 
 
