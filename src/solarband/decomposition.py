@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import FrozenTrack, IrradianceSeries, frozen
 
@@ -85,11 +84,11 @@ def _fit_blocks(
 ) -> None:
     """Fill ``trend`` and ``slope`` for the windows ``values[k : k + w]``, block by block.
 
-    Each result has the bits of the whole-view expressions. The non-BLAS
-    ``windows @ centered`` sums values[k + j] * centered[j] in order from +0.0,
-    which whole-block passes repeat over j; a lone window is a block of one
-    row, whose product numpy takes as a BLAS dot, in its own order.
-    ``windows.mean(axis=1)`` divides numpy's pairwise sum of the window
+    Every slope is the in-order sum of values[k + j] * centered[j] from +0.0,
+    which whole-block passes repeat over j. Wherever the view has two or more
+    rows, that is numpy's non-BLAS ``windows @ centered`` order. A lone
+    window is summed the same way, so no bit depends on the BLAS thread
+    count. ``windows.mean(axis=1)`` divides numpy's pairwise sum of the window
     (``_pairwise_sums``), added to +0.0, by w. That +0.0 is left out: a sum
     is -0.0 only if every term is, and then the slope is +0.0 and the trend
     +0.0 either way. The blocks are of balanced size, so none is small.
@@ -107,13 +106,10 @@ def _fit_blocks(
     for a, b in zip(edges[:-1], edges[1:]):
         buf = scratch[: b - a]
         acc = slope[a:b]
-        if rows == 1:
-            acc[:] = sliding_window_view(values, w) @ centered
-        else:
-            acc.fill(0.0)
-            for j, c in enumerate(centered.tolist()):
-                np.multiply(values[a + j : b + j], c, out=buf)
-                acc += buf
+        acc.fill(0.0)
+        for j, c in enumerate(centered.tolist()):
+            np.multiply(values[a + j : b + j], c, out=buf)
+            acc += buf
         acc /= sxx
         mean = _pairwise_sums(values[a : b + w - 1], w)
         mean /= w

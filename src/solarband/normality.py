@@ -38,6 +38,7 @@ TABLE_SIZES = (
 )
 TABLE_LEVELS = (0.20, 0.15, 0.10, 0.05, 0.01)
 TABLE_REPLICATES = 100_000
+MAX_REPLICATES = 10**7  # 80 MB of statistics per size, allocated before any work
 TABLE_SEED = 1956127
 CURVE_POINTS = 257
 
@@ -239,8 +240,10 @@ def generate_table(
     its own child seed, so per-size results do not depend on which sizes are
     requested together.
     """
-    if replicates < 1000:
-        raise ValueError("need >= 1000 replicates for a usable quantile")
+    if not 1000 <= replicates <= MAX_REPLICATES:
+        raise ValueError(f"replicates must be in [1000, {MAX_REPLICATES}] for a usable quantile")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     sizes = list(TABLE_SIZES) if sizes is None else sorted(sizes)
     rows: list[tuple[int, float, float]] = []
     for n in sizes:

@@ -1,10 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import make_series
 
+import solarband
 from solarband import cli
 from solarband.bands import calibrated_band, calibration_events
 from solarband.decomposition import DEFAULT_WINDOW, extract_trend
@@ -132,6 +138,65 @@ def test_report_is_byte_deterministic(tmp_path):
         assert run("report", "--input", str(series_csv), "--output", str(outdir)) == 0
     for name in ("scorecard.csv", "monthly.svg", "zoom.svg", "histogram.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# Run in a fresh interpreter in an empty directory: prints {artifact: sha256} for a
+# lone-window fit of 100,000 seeded samples and for every file and stdout of a
+# 4-day chain.
+_ENVIRONMENT_CHILD = """
+import contextlib, hashlib, io, json
+from datetime import datetime, timezone
+from pathlib import Path
+import numpy as np
+from solarband import cli
+from solarband.decomposition import extract_trend
+from solarband.series import IrradianceSeries
+
+digest = lambda data: hashlib.sha256(data).hexdigest()
+values = np.random.default_rng(5).uniform(0.0, 1200.0, 100_000)
+start = datetime(2021, 3, 1, tzinfo=timezone.utc)
+fit = extract_trend(IrradianceSeries(start_time=start, values=values), values.size)
+hashes = {f"fit.{name}": digest(getattr(fit, name).tobytes())
+          for name in ("trend", "fluctuation", "slope")}
+chain = [
+    ("synth", "--days", "4", "--seed", "3", "--output", "series.csv"),
+    ("forecast", "--input", "series.csv", "--output", "track.csv"),
+    ("bands", "--input", "track.csv", "--output", "band.csv", "--window-days", "1",
+     "--recal-every", "60"),
+    ("normtest", "--input", "track.csv"),
+    ("report", "--input", "series.csv", "--output", "report"),
+]
+for args in chain:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert cli.main(list(args)) == 0, args
+    if args[0] in ("bands", "normtest"):
+        hashes[f"{args[0]}.stdout"] = digest(text.getvalue().encode())
+for path in sorted(Path().rglob("*")):
+    if path.is_file():
+        hashes[path.as_posix()] = digest(path.read_bytes())
+print(json.dumps(hashes))
+"""
+
+
+def test_artifacts_do_not_depend_on_blas_threads_hash_seed_or_zone(tmp_path):
+    """A lone window's slope was a BLAS dot, whose bits moved with OPENBLAS_NUM_THREADS."""
+    package_root = str(Path(solarband.__file__).resolve().parents[1])
+    runs = []
+    for name, threads, hash_seed, zone in (("a", "1", "0", "UTC"),
+                                           ("b", "2", "random", "Pacific/Chatham")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONHASHSEED=hash_seed, TZ=zone,
+                   PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                            os.environ.get("PYTHONPATH")])))
+        out = tmp_path / name
+        out.mkdir()
+        child = subprocess.run([sys.executable, "-c", _ENVIRONMENT_CHILD], cwd=out, env=env,
+                               capture_output=True, text=True, check=True, timeout=300)
+        runs.append(json.loads(child.stdout))
+    first, second = runs
+    assert len(first) == 3 + 2 + 7  # fit arrays, two stdouts, four CSVs and three SVGs
+    assert sorted(k for k in first.keys() | second.keys() if first.get(k) != second.get(k)) == []
 
 
 def test_zoom_flags(tmp_path):
@@ -361,6 +426,21 @@ def test_synth_infinite_peak_or_negative_seed_is_a_data_error(tmp_path, capsys, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run("synth", "--output", str(out), *flags) == cli.EXIT_DATA
+    assert f"ValueError: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, field", [
+    (("--seed", "-1"), "seed"),
+    (("--replicates", str(10**13)), "replicates"),
+    (("--replicates", str(2**63)), "replicates"),
+])
+def test_lilliefors_table_negative_seed_or_huge_replicates_is_a_data_error(
+    tmp_path, capsys, flags, field
+):
+    """-1 reached numpy's unnamed seed error; 10**13 replicates ended in an allocation traceback."""
+    out = tmp_path / "table.csv"
+    assert run("lilliefors-table", "--output", str(out), *flags) == cli.EXIT_DATA
     assert f"ValueError: {field} must be" in capsys.readouterr().err
     assert not out.exists()
 

@@ -15,7 +15,12 @@ from solarband.synth import SynthConfig, generate
 
 
 def reference_extract_trend(series, window=DEFAULT_WINDOW):
-    """The whole-view fit, kept verbatim as the reference for the block form."""
+    """The whole-view fit, the reference for the block form.
+
+    The slope's product runs over the view of ``values`` padded by one 0.0,
+    then drops the padding row: a view of two or more rows never takes
+    numpy's one-row BLAS dot, so every slope is the in-order sum from +0.0.
+    """
     if window < 2:
         raise ValueError("window must be >= 2")
     values = series.values
@@ -32,7 +37,7 @@ def reference_extract_trend(series, window=DEFAULT_WINDOW):
 
     windows = sliding_window_view(values, window)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fit is refused below
-        slope_tail = (windows @ centered) / sxx
+        slope_tail = (sliding_window_view(np.append(values, 0.0), window) @ centered)[:-1] / sxx
         trend_tail = windows.mean(axis=1) + slope_tail * half_span
 
         trend = np.full(n, np.nan)
@@ -278,8 +283,8 @@ def fit_or_error(fit, series, window):
 
 # Leaf sizes at the edges of numpy's three summation regimes (in order below 8,
 # 8 accumulators up to 128, halving above), two windows in blocks of one, a window
-# as long as the series (a block of one row: numpy takes its ``windows @ centered``
-# as a BLAS dot product, in its own order), 4,095
+# as long as the series (a block of one row, summed in order from +0.0 like every
+# block, as the padded reference view is), 4,095
 # windows in one block, and 30 gappy days at the default window. Two more lone
 # windows: one whose fit overflows, so the error's count and sample come from a
 # block of one row, and one whose huge values meet a gap, which is no overflow.
