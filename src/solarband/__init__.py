@@ -9,6 +9,7 @@ empirical coverage.
 
 from .bands import (
     BandTrack,
+    NonFiniteBandError,
     UncalibratableWindowError,
     calibrate_alpha,
     calibrated_band,
@@ -26,6 +27,7 @@ from .normality import (
     jarque_bera,
     ks_normal,
     lilliefors,
+    normtests,
 )
 from .report import (
     EmptyRangeError,
@@ -60,6 +62,7 @@ __all__ = [
     "NoDefinedRecordsError",
     "NormalityReport",
     "NoScorableRecordsError",
+    "NonFiniteBandError",
     "NonFiniteScoreError",
     "NonFiniteTrendError",
     "ScoreCard",
@@ -82,6 +85,7 @@ __all__ = [
     "jarque_bera",
     "ks_normal",
     "lilliefors",
+    "normtests",
     "score",
     "trend_forecast",
     "volatility_track",

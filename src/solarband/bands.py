@@ -26,6 +26,10 @@ class UncalibratableWindowError(ValueError):
     """No eligible record in the calibration window."""
 
 
+class NonFiniteBandError(ValueError):
+    """A band frontier overflows double precision."""
+
+
 @dataclass(frozen=True, eq=False)
 class BandTrack(FrozenTrack):
     """Per-time band frontiers plus the width multiplier in force.
@@ -56,10 +60,14 @@ def _band(
     ``alpha`` is held uncopied: the caller hands over an array it made.
     """
     predicted = forecast.predicted
-    halfwidth = alpha * vol.vol_pred
-    lower = predicted - halfwidth
+    with np.errstate(over="ignore"):  # an infinite upper frontier is refused; lower is clamped
+        halfwidth = alpha * vol.vol_pred
+        lower = predicted - halfwidth
+        upper = np.add(predicted, halfwidth, out=halfwidth)
+    bad = np.isinf(upper)
+    if bad.any():
+        raise NonFiniteBandError(f"upper frontier at index {int(bad.argmax())} overflows double precision")
     np.clip(lower, 0.0, None, out=lower)
-    upper = np.add(predicted, halfwidth, out=halfwidth)
     return BandTrack(forecast.start_time, frozen(lower), frozen(upper), frozen(alpha), events)
 
 

@@ -10,23 +10,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from . import bands as bands_mod
 from . import normality, report, risk, synth
+from . import series as series_mod
 from .decomposition import DEFAULT_WINDOW, extract_trend
 from .forecast import DEFAULT_HORIZON, ForecastTrack, trend_forecast
 from .series import (
-    CADENCE,
     DEFAULT_EPS_DAY,
     DaylightMask,
     IrradianceSeries,
     SeriesCsvError,
     _stamps,
-    daylight_mask,
     emit_csv,
     format_value,
     ingest_csv,
@@ -94,21 +92,7 @@ def normtest_report_csv(reports: list[normality.NormalityReport]) -> str:
 
 
 def _track_daylight(track: ForecastTrack, eps_day: float) -> DaylightMask:
-    return daylight_mask(IrradianceSeries(track.start_time, track.realized), eps_day)
-
-
-def _run_normtests(track: ForecastTrack, eps_day: float, level: float):
-    sample = risk.daylight_errors(track, _track_daylight(track, eps_day))
-    if sample.size < normality.MIN_SAMPLES:
-        raise ValueError(f"only {sample.size} daylight error samples, need >= {normality.MIN_SAMPLES}")
-    # jarque_bera runs first and refuses zero variance or moments beyond double
-    # range. ks_normal is declared the sample's own moments, which makes it
-    # approximate; lilliefors handles that case exactly and is reported alongside.
-    return [
-        normality.jarque_bera(sample, level),
-        normality.ks_normal(sample, level, sample.mean(), sample.std(ddof=1)),
-        normality.lilliefors(sample, level),
-    ]
+    return series_mod.daylight_mask(IrradianceSeries(track.start_time, track.realized), eps_day)
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +113,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _forecast_from_series(series: IrradianceSeries, window: int, horizon: int) -> ForecastTrack:
-    decomposition = extract_trend(series, window)
-    return trend_forecast(series, decomposition, horizon)
-
-
 def _cmd_forecast(args: argparse.Namespace) -> int:
     series = ingest_csv(Path(args.input).read_text())
-    track = _forecast_from_series(series, args.window_w, args.horizon)
+    track = trend_forecast(series, extract_trend(series, args.window_w), args.horizon)
     if np.isnan(track.predicted).all():
         raise ValueError(f"no defined prediction: each needs a gap-free --window-w {args.window_w} "
                          f"trend window ending --horizon {args.horizon} minutes earlier")
@@ -171,7 +150,8 @@ def _cmd_bands(args: argparse.Namespace) -> int:
 def _cmd_normtest(args: argparse.Namespace) -> int:
     # The horizon is not in the file and the daylight errors do not depend on it.
     track = read_forecast_csv(Path(args.input).read_text(), DEFAULT_HORIZON)
-    text = normtest_report_csv(_run_normtests(track, args.eps_day, args.level))
+    sample = risk.daylight_errors(track, _track_daylight(track, args.eps_day))
+    text = normtest_report_csv(normality.normtests(sample, args.level))
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -179,22 +159,14 @@ def _cmd_normtest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _default_zoom(series: IrradianceSeries) -> tuple[datetime, datetime]:
-    end = series.start_time + len(series) * CADENCE
-    return max(series.start_time, end - timedelta(days=2)), end
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     series = ingest_csv(Path(args.input).read_text())
-    if args.zoom_from and args.zoom_to:
-        zoom = (parse_timestamp(args.zoom_from), parse_timestamp(args.zoom_to))
-    elif args.zoom_from or args.zoom_to:
+    if bool(args.zoom_from) != bool(args.zoom_to):
         raise ValueError("--from and --to must be given together")
-    else:
-        zoom = _default_zoom(series)
+    zoom = (parse_timestamp(args.zoom_from), parse_timestamp(args.zoom_to)) if args.zoom_from else None
     report.zoom_range(series, zoom)  # a bad zoom fails before the pipeline runs
-    track = _forecast_from_series(series, args.window_w, args.horizon)
-    mask = daylight_mask(series, args.eps_day)
+    track = trend_forecast(series, extract_trend(series, args.window_w), args.horizon)
+    mask = series_mod.daylight_mask(series, args.eps_day)
     band = _calibrated_band_from_track(track, mask, args)
 
     # Every artifact is built before any is written, so a failure leaves none behind.
@@ -202,7 +174,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "scorecard.csv": report.scorecard_csv(report.score(track, band, mask)),
         "monthly.svg": report.emit_plot(series, track, band, "monthly"),
         "zoom.svg": report.emit_plot(series, track, band, "zoom", zoom=zoom),
-        "histogram.svg": report.emit_plot(series, track, band, "histogram", eps_day=args.eps_day),
+        "histogram.svg": report.emit_plot(series, track, band, "histogram", mask=mask),
     }
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

@@ -222,6 +222,16 @@ def lilliefors(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
     return _decide("lilliefors", n, statistic, threshold, level)
 
 
+def normtests(x: np.ndarray, level: float = DEFAULT_LEVEL) -> list[NormalityReport]:
+    """The normality battery: jarque_bera, ks_normal and lilliefors, in that order.
+
+    jarque_bera refuses a short, zero-variance or overflowing sample first. ks_normal is
+    declared the sample's own mean and std (ddof=1), a case lilliefors handles exactly.
+    """
+    return [jarque_bera(x, level), ks_normal(x, level, np.mean(x), np.std(x, ddof=1)),
+            lilliefors(x, level)]
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo null table for the estimated-parameter test
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ from .forecast import ForecastTrack
 from .normality import Histogram, diff_histogram
 from .risk import daylight_errors
 from .series import (
-    DEFAULT_EPS_DAY,
+    MINUTES_PER_DAY,
     DaylightMask,
     IrradianceSeries,
     check_aligned,
-    daylight_mask,
+    daylight_mask,  # not called here; kept because perfbench/run.py::trace_sites patches it
     eligible,
 )
 
@@ -276,8 +276,11 @@ def render_histogram_svg(hist: Histogram, title: str) -> str:
     return canvas.text()
 
 
-def zoom_range(series: IrradianceSeries, zoom: tuple[datetime, datetime]) -> tuple[int, int]:
-    """Sample indices [lo, hi) of the [from, to) range; EmptyRangeError if it holds none."""
+def zoom_range(series: IrradianceSeries, zoom: tuple[datetime, datetime] | None = None) -> tuple[int, int]:
+    """Sample indices [lo, hi) of the [from, to) range, or without one of the final 48 hours
+    (the whole series when shorter); EmptyRangeError if the range holds none."""
+    if zoom is None:
+        return max(0, len(series) - 2 * MINUTES_PER_DAY), len(series)
     lo = max(0, series.index_of(zoom[0]))
     hi = min(len(series), series.index_of(zoom[1]))
     if hi <= lo:
@@ -291,28 +294,26 @@ def emit_plot(
     band: BandTrack | None,
     kind: str,
     zoom: tuple[datetime, datetime] | None = None,
-    eps_day: float = DEFAULT_EPS_DAY,
+    mask: DaylightMask | None = None,
 ) -> str:
     """Render one plot artifact and return its SVG text; the caller writes it.
 
-    ``monthly`` draws the full span, ``zoom`` the [from, to) range, and
-    ``histogram`` the daylight forecast-error distribution with its fitted
-    normal overlay. A forecast or band must be aligned with the series.
+    ``monthly`` draws the full span, ``zoom`` the :func:`zoom_range`, and
+    ``histogram`` the forecast errors at the ``mask``'s daylight samples with
+    their fitted normal overlay. Tracks and mask must be aligned with the series.
     """
     if kind not in PLOT_KINDS:
         raise ValueError(f"kind must be one of {PLOT_KINDS}")
-    check_aligned(series, *(track for track in (forecast, band) if track is not None))
+    check_aligned(series, *(track for track in (forecast, band, mask) if track is not None))
     if kind == "histogram":
-        if forecast is None:
-            raise ValueError("histogram kind needs a forecast track")
-        sample = daylight_errors(forecast, daylight_mask(series, eps_day))
+        if forecast is None or mask is None:
+            raise ValueError("histogram kind needs a forecast track and a daylight mask")
+        sample = daylight_errors(forecast, mask)
         if sample.size == 0:
             raise EmptyRangeError("no daylight forecast errors to bin")
         hist = diff_histogram(sample, HISTOGRAM_BINS)
         return render_histogram_svg(hist, "forecast error distribution")
     if kind == "zoom":
-        if zoom is None:
-            raise ValueError("zoom kind needs a (from, to) range")
         lo, hi = zoom_range(series, zoom)
         return render_series_svg(series, forecast, band, lo, hi, "irradiance (zoom)")
     return render_series_svg(series, forecast, band, 0, len(series), "irradiance")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from solarband import bands
 from solarband.bands import (
+    NonFiniteBandError,
     UncalibratableWindowError,
     calibrate_alpha,
     calibrated_band,
@@ -73,6 +74,20 @@ def test_fixed_band_clamps_lower_at_zero():
     v = VolatilityTrack(START, 60, np.array([np.nan]), np.array([np.nan]), np.array([50.0]))
     band = fixed_band(f, v)
     assert band.lower[0] == 0.0 and band.upper[0] == 80.0
+
+
+def test_an_upper_frontier_beyond_double_range_is_refused_by_index():
+    """predicted + vol_pred overflowed to an inf frontier, with an overflow RuntimeWarning."""
+    predicted = np.array([1.0, -1.7e308, 1.7e308])
+    nan = np.full(3, np.nan)
+    f = ForecastTrack(START, 60, predicted, nan)
+    v = VolatilityTrack(START, 60, nan, nan, np.array([1.0, 1.7e308, 1.7e308]))
+    with pytest.raises(NonFiniteBandError, match="^upper frontier at index 2 overflows"):
+        fixed_band(f, v)
+    # a lower frontier below -1.8e308 is clamped at 0 like any negative one
+    band = fixed_band(ForecastTrack(START, 60, predicted[:2], nan[:2]),
+                      VolatilityTrack(START, 60, nan[:2], nan[:2], v.vol_pred[:2]))
+    assert band.lower.tolist() == [0.0, 0.0] and band.upper.tolist() == [2.0, 0.0]
 
 
 def test_calibrate_all_ratios_one():

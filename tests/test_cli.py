@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from datetime import timedelta
 from pathlib import Path
@@ -9,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import make_series
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import solarband
 from solarband import cli
@@ -499,3 +504,139 @@ def test_a_trend_beyond_double_range_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("NonFiniteTrendError: ") == 2 and "overflow double precision" in err
     assert not track_csv.exists() and not outdir.exists()
+
+
+def _huge_track_csv(path):
+    """A 3-day track whose predicted and realized values alternate between 1e307 and 1.7e308."""
+    start = np.datetime64("2021-06-01T00:00")
+    rows = [
+        f"{start + np.timedelta64(k, 'm')}:00Z,{a!r},{b!r}"
+        for k in range(3 * 1440)
+        for a, b in [(1e307, 1.7e308) if k % 2 else (1.7e308, 1e307)]
+    ]
+    path.write_text("\n".join([cli.FORECAST_CSV_HEADER, *rows]) + "\n")
+
+
+def test_bands_with_an_overflowing_frontier_writes_nothing(tmp_path, capsys):
+    """2,159 upper frontiers were written as inf, with an overflow RuntimeWarning, exit 0."""
+    track_csv, band_csv = tmp_path / "track.csv", tmp_path / "band.csv"
+    _huge_track_csv(track_csv)
+    assert run("bands", "--input", str(track_csv), "--output", str(band_csv),
+               "--horizon", "1") == cli.EXIT_DATA
+    assert "NonFiniteBandError: upper frontier at index 2 overflows" in capsys.readouterr().err
+    assert not band_csv.exists()
+
+
+def test_each_subcommand_builds_one_daylight_mask(tmp_path, monkeypatch):
+    """cli bound daylight_mask at import, so a patch on the series module saw none of its calls."""
+    from solarband import series as series_mod
+
+    calls = []
+    original = series_mod.daylight_mask
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(series_mod, "daylight_mask", counted)
+    series_csv, track_csv = tmp_path / "series.csv", tmp_path / "track.csv"
+    run("synth", "--output", str(series_csv), "--days", "3", "--seed", "6")
+    run("forecast", "--input", str(series_csv), "--output", str(track_csv))
+    for argv in (("bands", "--input", str(track_csv), "--output", str(tmp_path / "b.csv")),
+                 ("normtest", "--input", str(track_csv)),
+                 ("report", "--input", str(series_csv), "--output", str(tmp_path / "out"))):
+        calls.clear()
+        assert run(*argv) == 0
+        assert len(calls) == 1, argv[0]
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract: every run exits 0, 2, 3 or 4, and a failed run writes nothing
+# ---------------------------------------------------------------------------
+
+HOSTILE = ("0", "-1", str(2**31), str(2**63), str(10**20), "nan", "inf", "-inf", "-0.0", "5e-324")
+_CALIBRATION = ("--horizon", "--eps-day", "--target", "--window-days", "--recal-every")
+FLAGS = {
+    "synth": ("--days", "--seed", "--latitude", "--day-of-year", "--peak"),
+    "forecast": ("--window-w", "--horizon"),
+    "bands": _CALIBRATION,
+    "normtest": ("--eps-day", "--level"),
+    "report": ("--window-w", *_CALIBRATION, "--from", "--to"),
+    "lilliefors-table": ("--seed", "--replicates"),
+}
+# No drawn replicate count may allocate: each is refused before the table is simulated.
+assert not any(1000 <= int(v) <= solarband.normality.MAX_REPLICATES
+               for v in HOSTILE if v.lstrip("-").isdigit())
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """A directory of small valid files and mutated ones, and the names to draw inputs from."""
+    d = tmp_path_factory.mktemp("contract")
+    series_csv, track_csv = d / "series.csv", d / "track.csv"
+    assert run("synth", "--output", str(series_csv), "--days", "3", "--seed", "2") == 0
+    assert run("forecast", "--input", str(series_csv), "--output", str(track_csv)) == 0
+    series_lines = series_csv.read_text().split("\n")
+    track_lines = track_csv.read_text().split("\n")
+    huge = np.zeros(3 * 1440)
+    huge[360:1080] = 1.7e308  # its trend windows overflow
+    texts = {
+        "huge_series.csv": emit_csv(make_series(huge)),
+        "negative.csv": "\n".join([*series_lines[:700], series_lines[700].replace(",", ",-"),
+                                   *series_lines[701:]]),
+        "nan_cell.csv": "\n".join([*track_lines[:500], track_lines[500].rsplit(",", 1)[0] + ",nan",
+                                   *track_lines[501:]]),
+        "truncated.csv": "\n".join([*series_lines[:900], series_lines[900][:13]]),
+        "one_row.csv": "\n".join(series_lines[:2]) + "\n",
+        "header_only.csv": track_lines[0] + "\n",
+        "empty.csv": "",
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    _huge_track_csv(d / "huge_track.csv")
+    (d / "a_directory").mkdir()
+    return d, ["series.csv", "track.csv", "huge_track.csv", *texts, "a_directory", "missing.csv"]
+
+
+def _snapshot(path):
+    """The bytes of a file, or of every file under a directory, or None if absent."""
+    if path.is_dir():
+        return {p.relative_to(path).as_posix(): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+    return path.read_bytes() if path.exists() else None
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_every_run_exits_0_2_3_or_4_and_a_failed_run_writes_nothing(contract_inputs, data):
+    inputs, names = contract_inputs
+    sub = data.draw(st.sampled_from(sorted(FLAGS)), label="subcommand")
+    argv = [sub]
+    if sub not in ("synth", "lilliefors-table"):
+        valid = "series.csv" if sub in ("forecast", "report") else "track.csv"
+        name = data.draw(st.one_of(st.just(valid), st.sampled_from(names)), label="input")
+        argv.append(f"--input={inputs / name}")
+    flags = data.draw(st.lists(st.sampled_from(FLAGS[sub]), unique=True, max_size=3), label="flags")
+    argv += [f"{flag}={data.draw(st.sampled_from(HOSTILE), label=flag)}" for flag in flags]
+    if sub == "lilliefors-table" and "--replicates" not in flags:
+        argv.append("--replicates=1000")  # the smallest table, about 0.4 s
+    kinds = ("absent", "file", "directory") + (("omitted",) if sub == "normtest" else ())
+    kind = data.draw(st.sampled_from(kinds), label="output")
+    with tempfile.TemporaryDirectory(dir=inputs) as scratch:
+        out = Path(scratch) / "out"
+        if kind == "file":
+            out.write_text("kept\n")
+        elif kind == "directory":
+            out.mkdir()
+            (out / "kept.txt").write_text("kept\n")
+        if kind != "omitted":
+            argv.append(f"--output={out}")
+        before = _snapshot(out)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+        event(f"{sub} exit {code}")
+        assert code in (0, 2, 3, 4), argv
+        if code != 0:
+            assert _snapshot(out) == before, argv

@@ -24,6 +24,7 @@ from solarband.normality import (
     lilliefors,
     lilliefors_critical,
     lilliefors_statistic,
+    normtests,
     parse_table,
 )
 
@@ -140,6 +141,28 @@ def test_ks_given_the_samples_moments_equals_ks_on_the_standardized_sample(x, le
     assert declared.statistic.hex() == by_hand.statistic.hex()
     assert declared.threshold.hex() == by_hand.threshold.hex()
     assert declared.reject == by_hand.reject
+
+
+def _outcome(run):
+    """Each report's fields, floats in hex, or the type and message of what was raised."""
+    try:
+        return [(r.test_name, r.n, r.statistic.hex(), r.threshold.hex(), r.level, r.reject)
+                for r in run()]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(x=_samples(), level=st.sampled_from([0.2, 0.1, 0.05, 0.01]))
+@example(x=np.arange(7.0), level=0.05)  # short
+@example(x=np.full(20, 3.0), level=0.05)  # zero variance
+@example(x=np.random.default_rng(48).standard_normal(200) * 1e200, level=0.05)  # overflowing
+def test_normtests_is_the_three_direct_calls(x, level):
+    """Report by report in hex; a sample jarque_bera refuses raises its error, message and all."""
+    direct = _outcome(lambda: [jarque_bera(x, level),
+                               ks_normal(x, level, x.mean(), x.std(ddof=1)),
+                               lilliefors(x, level)])
+    assert _outcome(lambda: normtests(x, level)) == direct
 
 
 @pytest.mark.parametrize("mean, std", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan),

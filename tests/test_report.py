@@ -198,9 +198,30 @@ def test_empty_zoom_range_raises():
         emit_plot(series, track, band, "zoom", zoom=(series.start_time, series.start_time))
 
 
-def test_histogram_plot_palette():
+def test_default_zoom_is_the_final_48_hours_or_the_whole_series():
     series, track, _, _, band = _pipeline_pieces()
-    svg = emit_plot(series, track, band, "histogram")
+    end = series.start_time + timedelta(minutes=len(series))
+    final = (end - timedelta(hours=48), end)
+    assert emit_plot(series, track, band, "zoom") == emit_plot(series, track, band, "zoom", zoom=final)
+    assert report.zoom_range(series) == (len(series) - 2880, len(series))
+    short = make_series(series.values[:2000], series.start_time)
+    whole = (short.start_time, short.start_time + timedelta(minutes=2000))
+    assert emit_plot(short, None, None, "zoom") == emit_plot(short, None, None, "zoom", zoom=whole)
+    assert report.zoom_range(short) == (0, 2000)
+
+
+def test_histogram_needs_an_aligned_mask():
+    series, track, _, mask, band = _pipeline_pieces()
+    with pytest.raises(ValueError, match="histogram kind needs a forecast track and a daylight mask"):
+        emit_plot(series, track, band, "histogram")
+    late_mask = replace(mask, start_time=mask.start_time + timedelta(days=1))
+    with pytest.raises(ValueError, match="tracks are not aligned"):
+        emit_plot(series, track, band, "histogram", mask=late_mask)
+
+
+def test_histogram_plot_palette():
+    series, track, _, mask, band = _pipeline_pieces()
+    svg = emit_plot(series, track, band, "histogram", mask=mask)
     assert 'class="diff-bin"' in svg and 'fill="blue"' in svg
     assert 'class="normal-curve"' in svg and 'stroke="red"' in svg
     assert svg.count('class="diff-bin"') == report.HISTOGRAM_BINS
