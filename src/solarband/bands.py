@@ -27,7 +27,7 @@ class UncalibratableWindowError(ValueError):
 
 
 class NonFiniteBandError(ValueError):
-    """A band frontier overflows double precision."""
+    """A band's width multiplier is not finite, or a frontier overflows double precision."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +59,9 @@ def _band(
 
     ``alpha`` is held uncopied: the caller hands over an array it made.
     """
+    if not np.isfinite(alpha).all():  # a calibration ratio past double range; inf * 0 is NaN
+        first = int(np.isfinite(alpha).argmin())
+        raise NonFiniteBandError(f"width multiplier at index {first} is {float(alpha[first])!r}, not finite")
     predicted = forecast.predicted
     with np.errstate(over="ignore"):  # an infinite upper frontier is refused; lower is clamped
         halfwidth = alpha * vol.vol_pred

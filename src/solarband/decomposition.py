@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import FrozenTrack, IrradianceSeries, frozen
+from .series import FrozenTrack, IrradianceSeries, frozen, in_shares
 
 DEFAULT_WINDOW = 120
 _ROWS = 32_768
@@ -88,33 +88,45 @@ def _fit_blocks(
     which whole-block passes repeat over j. Wherever the view has two or more
     rows, that is numpy's non-BLAS ``windows @ centered`` order. A lone
     window is summed the same way, so no bit depends on the BLAS thread
-    count. ``windows.mean(axis=1)`` divides numpy's pairwise sum of the window
-    (``_pairwise_sums``), added to +0.0, by w. That +0.0 is left out: a sum
-    is -0.0 only if every term is, and then the slope is +0.0 and the trend
-    +0.0 either way. The blocks are of balanced size, so none is small.
+    count. The blocks' slopes are shared out over the usable CPUs by
+    :func:`~solarband.series.in_shares`, each block whole in one thread, so
+    no bit depends on the CPU count either. ``windows.mean(axis=1)`` divides
+    numpy's pairwise sum of the window (``_pairwise_sums``), added to +0.0,
+    by w. That +0.0 is left out: a sum is -0.0 only if every term is, and
+    then the slope is +0.0 and the trend +0.0 either way. The blocks are of
+    balanced size, so none is small.
 
     Values are finite and >= 0, so a window's sum is NaN exactly when the
     window holds a gap. A non-finite trend whose window sum is a number is an
-    overflow, and any raises NonFiniteTrendError once every block is fitted.
+    overflow, and any raises NonFiniteTrendError once every block is fitted,
+    counted in block order in the calling thread.
     """
     w = centered.size
     rows = slope.size
     count = -(-rows // _ROWS)
     edges = [rows * i // count for i in range(count + 1)]
-    scratch = np.empty(-(-rows // count))
+    weights = centered.tolist()
+
+    def fit_slopes(share: int, shares: int) -> None:
+        # A block's trend slice is its product row until the fit below overwrites it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in range(count * share // shares, count * (share + 1) // shares):
+                a, b = edges[block], edges[block + 1]
+                buf, acc = trend[a:b], slope[a:b]
+                acc.fill(0.0)
+                for j, c in enumerate(weights):
+                    np.multiply(values[a + j : b + j], c, out=buf)
+                    acc += buf
+                acc /= sxx
+
+    in_shares(fit_slopes, count)
     overflowed = 0
     for a, b in zip(edges[:-1], edges[1:]):
-        buf = scratch[: b - a]
-        acc = slope[a:b]
-        acc.fill(0.0)
-        for j, c in enumerate(centered.tolist()):
-            np.multiply(values[a + j : b + j], c, out=buf)
-            acc += buf
-        acc /= sxx
         mean = _pairwise_sums(values[a : b + w - 1], w)
         mean /= w
-        np.multiply(acc, half_span, out=buf)
-        fit = np.add(mean, buf, out=trend[a:b])
+        buf = trend[a:b]
+        np.multiply(slope[a:b], half_span, out=buf)
+        fit = np.add(mean, buf, out=buf)
         bad = np.flatnonzero(~np.isfinite(fit) & ~np.isnan(mean))
         if bad.size and not overflowed:
             first = w - 1 + a + bad[0]

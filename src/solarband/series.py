@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -108,6 +109,33 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     """
     arr.setflags(write=False)
     return arr
+
+
+def in_shares(fn: Callable[[int, int], None], shares: int) -> None:
+    """Run ``fn(i, k)`` for every share i < k, k the smaller of ``shares`` and the usable CPUs.
+
+    Share 0 runs in the calling thread, shares 1 .. k-1 in threads that end
+    with this call; numpy releases the GIL inside its loops, so the shares
+    run at once. A pool kept between calls would hang a fork child that
+    calls this after its parent did. ``np.errstate`` is per thread, so
+    ``fn`` sets its own. ``fn`` allocates no array: a worker thread's
+    allocations come from a malloc arena of its own, which raises peak RSS.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    k = min(shares, cpus)
+    if k <= 1:
+        fn(0, 1)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(k - 1) as pool:
+        futures = [pool.submit(fn, i, k) for i in range(1, k)]
+        fn(0, k)
+    for future in futures:
+        future.result()
 
 
 def check_aligned(*tracks: FrozenTrack) -> None:

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 
@@ -12,6 +13,11 @@ from solarband.series import DaylightMask, IrradianceSeries, daylight_mask
 from solarband.synth import SynthConfig, generate
 
 START = datetime(2021, 3, 1, tzinfo=timezone.utc)
+
+
+def usable_cpus(cpus):
+    """Patch the CPUs this process may use, as ``series.in_shares`` reads them, to ``cpus``."""
+    return mock.patch("os.sched_getaffinity", lambda pid: set(range(cpus)), create=True)
 
 
 def make_series(values, start=START):

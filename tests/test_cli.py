@@ -145,24 +145,33 @@ def test_report_is_byte_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-# Run in a fresh interpreter in an empty directory: prints {artifact: sha256} for a
-# lone-window fit of 100,000 seeded samples and for every file and stdout of a
-# 4-day chain.
+# Run in a fresh interpreter in an empty directory, pinned to one CPU if given "pin":
+# prints {artifact: sha256} for a lone-window fit of 100,000 seeded samples, a fit
+# of three blocks of windows, a jarque_bera over two shares of the power pass, and
+# every file and stdout of a 4-day chain.
 _ENVIRONMENT_CHILD = """
-import contextlib, hashlib, io, json
+import contextlib, hashlib, io, json, os, sys
 from datetime import datetime, timezone
 from pathlib import Path
 import numpy as np
-from solarband import cli
+from solarband import cli, decomposition, normality
 from solarband.decomposition import extract_trend
 from solarband.series import IrradianceSeries
 
+if sys.argv[1:] == ["pin"] and hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 digest = lambda data: hashlib.sha256(data).hexdigest()
-values = np.random.default_rng(5).uniform(0.0, 1200.0, 100_000)
+rng = np.random.default_rng(5)
 start = datetime(2021, 3, 1, tzinfo=timezone.utc)
-fit = extract_trend(IrradianceSeries(start_time=start, values=values), values.size)
-hashes = {f"fit.{name}": digest(getattr(fit, name).tobytes())
-          for name in ("trend", "fluctuation", "slope")}
+hashes = {}
+for fit_name, n, window in (("fit", 100_000, 100_000),
+                            ("blocks", 3 * decomposition._ROWS + 119, 120)):
+    values = rng.uniform(0.0, 1200.0, n)
+    fit = extract_trend(IrradianceSeries(start_time=start, values=values), window)
+    hashes.update({f"{fit_name}.{name}": digest(getattr(fit, name).tobytes())
+                   for name in ("trend", "fluctuation", "slope")})
+sample = rng.standard_normal(2 * normality._SHARE_MIN)
+hashes["jarque_bera"] = normality.jarque_bera(sample).statistic.hex()
 chain = [
     ("synth", "--days", "4", "--seed", "3", "--output", "series.csv"),
     ("forecast", "--input", "series.csv", "--output", "track.csv"),
@@ -185,22 +194,26 @@ print(json.dumps(hashes))
 
 
 def test_artifacts_do_not_depend_on_blas_threads_hash_seed_or_zone(tmp_path):
-    """A lone window's slope was a BLAS dot, whose bits moved with OPENBLAS_NUM_THREADS."""
+    """A lone window's slope was a BLAS dot, whose bits moved with OPENBLAS_NUM_THREADS.
+
+    The first child is also pinned to one CPU, so the fit's slopes and the
+    power pass run in one thread there and on every usable CPU in the other.
+    """
     package_root = str(Path(solarband.__file__).resolve().parents[1])
     runs = []
-    for name, threads, hash_seed, zone in (("a", "1", "0", "UTC"),
-                                           ("b", "2", "random", "Pacific/Chatham")):
+    for name, threads, hash_seed, zone, pin in (("a", "1", "0", "UTC", ["pin"]),
+                                                ("b", "2", "random", "Pacific/Chatham", [])):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONHASHSEED=hash_seed, TZ=zone,
                    PYTHONPATH=os.pathsep.join(filter(None, [package_root,
                                                             os.environ.get("PYTHONPATH")])))
         out = tmp_path / name
         out.mkdir()
-        child = subprocess.run([sys.executable, "-c", _ENVIRONMENT_CHILD], cwd=out, env=env,
-                               capture_output=True, text=True, check=True, timeout=300)
+        child = subprocess.run([sys.executable, "-c", _ENVIRONMENT_CHILD, *pin], cwd=out,
+                               env=env, capture_output=True, text=True, check=True, timeout=300)
         runs.append(json.loads(child.stdout))
     first, second = runs
-    assert len(first) == 3 + 2 + 7  # fit arrays, two stdouts, four CSVs and three SVGs
+    assert len(first) == 2 * 3 + 1 + 2 + 7  # fit arrays, the statistic, stdouts, CSVs and SVGs
     assert sorted(k for k in first.keys() | second.keys() if first.get(k) != second.get(k)) == []
 
 
@@ -524,6 +537,28 @@ def test_bands_with_an_overflowing_frontier_writes_nothing(tmp_path, capsys):
     assert run("bands", "--input", str(track_csv), "--output", str(band_csv),
                "--horizon", "1") == cli.EXIT_DATA
     assert "NonFiniteBandError: upper frontier at index 2 overflows" in capsys.readouterr().err
+    assert not band_csv.exists()
+
+
+def test_bands_with_an_infinite_multiplier_is_refused_without_a_warning(tmp_path, capsys):
+    """alpha = inf times vol_pred = 0 raised "invalid value encountered in multiply".
+
+    Daylight realized values alternate 5e-324 and 1.0 and predict 0.0, so a
+    calibration ratio overflows to an infinite multiplier.
+    """
+    track_csv, band_csv = tmp_path / "track.csv", tmp_path / "band.csv"
+    start = np.datetime64("2021-06-01T00:00")
+    rows = [
+        f"{start + np.timedelta64(k, 'm')}:00Z,0.0,{realized!r}"
+        for k in range(4 * 1440)
+        for realized in [(5e-324 if k % 2 else 1.0) if 360 <= k % 1440 < 1080 else 0.0]
+    ]
+    track_csv.write_text("\n".join([cli.FORECAST_CSV_HEADER, *rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("bands", "--input", str(track_csv), "--output", str(band_csv),
+                   "--horizon", "1", "--eps-day", "0") == cli.EXIT_DATA
+    assert "NonFiniteBandError: width multiplier at index 1440 is inf, not finite" in capsys.readouterr().err
     assert not band_csv.exists()
 
 

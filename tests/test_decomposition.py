@@ -1,10 +1,12 @@
+import multiprocessing
+import threading
 import tracemalloc
 from math import fsum
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import make_series
+from conftest import make_series, usable_cpus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
@@ -329,6 +331,54 @@ def test_block_fit_is_the_whole_view_fit_bit_for_bit(window, extra, seed, kind, 
         a, b = getattr(got, name), getattr(want, name)
         both_nan = np.isnan(a) & np.isnan(b)
         assert np.array_equal(a[~both_nan].view(np.int64), b[~both_nan].view(np.int64)), name
+
+
+# Every regime over blocks of 1 to 9 windows, so that up to five shares own
+# several blocks each; the example overflows in blocks 4 to 11 of 15, which
+# belong to different shares at 2, 3 and 5 CPUs.
+@example(8, 56, 4, "huge", 0.0, 4)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    window=st.integers(2, 40),
+    extra=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["plain", "mixed", "huge", "zeros"]),
+    gap_rate=st.sampled_from([0.0, 0.01, 0.2]),
+    rows=st.integers(1, 9),
+)
+def test_the_fit_does_not_depend_on_the_cpu_count(window, extra, seed, kind, gap_rate, rows):
+    """Trend, slope and fluctuation bytes, NaN payloads included, or the error message."""
+    series = make_series(trend_values(kind, window + extra, seed, gap_rate))
+    outcomes = []
+    with mock.patch.object(decomposition, "_ROWS", rows):
+        for cpus in (1, 2, 3, 5):
+            with usable_cpus(cpus):
+                got = fit_or_error(extract_trend, series, window)
+            outcomes.append(got if isinstance(got, str) else
+                            [getattr(got, name).tobytes() for name in ("trend", "slope", "fluctuation")])
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+def _fit_three_blocks():
+    series = make_series(np.random.default_rng(2).uniform(0.0, 1200.0, 3 * decomposition._ROWS))
+    extract_trend(series, DEFAULT_WINDOW)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_fork_child_fits_after_its_parent_did():
+    """A thread pool kept from the parent's fit would wait forever in the child for its threads."""
+    threads = threading.active_count()
+    with usable_cpus(2):
+        _fit_three_blocks()
+        assert threading.active_count() == threads  # the fit's threads end with the call
+        child = multiprocessing.get_context("fork").Process(target=_fit_three_blocks)
+        child.start()
+        child.join(timeout=20)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0
 
 
 def test_fit_peak_memory_stays_within_three_tracks_and_block_buffers():

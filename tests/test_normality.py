@@ -1,12 +1,14 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import usable_cpus
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import kolmogi
-from scipy.stats import norm
+from scipy.stats import chi2, norm
 
 from solarband import normality
 from solarband.normality import (
@@ -163,6 +165,33 @@ def test_normtests_is_the_three_direct_calls(x, level):
                                ks_normal(x, level, x.mean(), x.std(ddof=1)),
                                lilliefors(x, level)])
     assert _outcome(lambda: normtests(x, level)) == direct
+
+
+def reference_jarque_bera(x, level):
+    """The statistic from whole-array moments, each ``np.mean(centered**p)`` in one thread."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean()
+        m2, m3, m4 = (float(np.mean(centered**p)) for p in (2, 3, 4))
+    skewness = m3 / m2**1.5
+    excess_kurtosis = m4 / m2**2 - 3.0
+    return x.size / 6.0 * (skewness**2 + excess_kurtosis**2 / 4.0), float(chi2.ppf(1.0 - level, df=2))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(x=_samples(), level=st.sampled_from([0.2, 0.1, 0.05, 0.01]))
+@example(x=np.random.default_rng(48).standard_normal(200) * 1e200, level=0.05)  # overflowing
+def test_jarque_bera_does_not_depend_on_the_cpu_count(x, level):
+    """Shares of at least 8 samples over 1, 2, 3 and 5 CPUs: the whole-array statistic in hex."""
+    outcomes = []
+    with mock.patch.object(normality, "_SHARE_MIN", 8):
+        for cpus in (1, 2, 3, 5):
+            with usable_cpus(cpus):
+                outcomes.append(_outcome(lambda: [jarque_bera(x, level)]))
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    if isinstance(outcomes[0], list):
+        statistic, threshold = reference_jarque_bera(x, level)
+        assert outcomes[0][0][2:4] == (statistic.hex(), threshold.hex())
 
 
 @pytest.mark.parametrize("mean, std", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan),
