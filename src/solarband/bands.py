@@ -106,7 +106,7 @@ def _ranks(counts: np.ndarray, target: float) -> np.ndarray:
     """ceil(target * n) for each count n >= 1, in exact arithmetic.
 
     The float product can overshoot an exact integer boundary
-    (0.68 * 25 -> 17.000000000000004), so each rank is settled against the
+    (0.07 * 100 -> 7.000000000000001), so each rank is settled against the
     defining predicate rank / n >= target.
     """
     rank = np.ceil(target * counts).astype(np.int64)

@@ -9,6 +9,7 @@ byte-deterministic. Exit codes: 0 success, 2 usage error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -176,11 +177,34 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "zoom.svg": report.emit_plot(series, track, band, "zoom", zoom=zoom),
         "histogram.svg": report.emit_plot(series, track, band, "histogram", mask=mask),
     }
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text)
+    _write_all(Path(args.output), texts)
     return EXIT_OK
+
+
+def _write_all(out: Path, texts: dict[str, str]) -> None:
+    """Write each text to its file under ``out``, all or none: each to a temporary file
+    beside its target, renamed once every one is complete. A failure removes the temporary
+    files, and ``out`` with any parent this call created and left empty: only a failed
+    rename (rare within one directory) keeps the targets it already replaced."""
+    for name in texts:
+        if (out / name).is_dir():
+            raise IsADirectoryError(f"{out / name} is a directory")
+    created = [d for d in (out, *out.parents) if not d.exists()]
+    temps = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            temps.append(out / f".{name}.{os.getpid()}.tmp")  # only a dead run can own it
+            temps[-1].write_text(text)
+        for temp, name in zip(temps, texts):
+            os.replace(temp, out / name)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        for d in created:
+            if d.exists() and not any(d.iterdir()):
+                d.rmdir()
+        raise
 
 
 def _cmd_lilliefors_table(args: argparse.Namespace) -> int:

@@ -122,36 +122,8 @@ def _nice_step(span: float) -> float:
     return power * 10.0
 
 
-def _runs(defined: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous [start, stop) runs of True."""
-    idx = np.flatnonzero(defined)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([idx[0]], idx[breaks + 1]))
-    stops = np.concatenate((idx[breaks] + 1, [idx[-1] + 1]))
-    return list(zip(starts.tolist(), stops.tolist()))
-
-
-class _Canvas:
-    def __init__(self, title: str) -> None:
-        self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-            f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="monospace" font-size="12">',
-            f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-            f'<text x="{_ML}" y="18" font-size="14">{title}</text>',
-            f'<rect x="{_ML}" y="{_MT}" width="{_WIDTH - _ML - _MR}" '
-            f'height="{_HEIGHT - _MT - _MB}" fill="none" stroke="#888"/>',
-        ]
-
-    def add(self, element: str) -> None:
-        self.parts.append(element)
-
-    def text(self) -> str:
-        return "\n".join(self.parts) + "\n</svg>\n"
-
-
-def _scales(x_lo: float, x_hi: float, y_hi: float):
+def _frame(title: str, x_lo: float, x_hi: float, y_hi: float, y_label: str):
+    """The opening SVG elements, y axis drawn, for a renderer to append to; pixel maps sx, sy."""
     plot_w = _WIDTH - _ML - _MR
     plot_h = _HEIGHT - _MT - _MB
     x_span = max(x_hi - x_lo, 1e-12)
@@ -163,37 +135,45 @@ def _scales(x_lo: float, x_hi: float, y_hi: float):
     def sy(y: float) -> float:
         return _MT + (1.0 - y / y_span) * plot_h
 
-    return sx, sy
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="monospace" font-size="12">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_ML}" y="18" font-size="14">{title}</text>',
+        f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" fill="none" stroke="#888"/>',
+    ]
+    _y_axis(parts, sy, y_hi, y_label)
+    return parts, sx, sy
 
 
-def _y_axis(canvas: _Canvas, sy, y_hi: float, label: str) -> None:
+def _y_axis(parts: list[str], sy, y_hi: float, label: str) -> None:
     step = _nice_step(y_hi)
     tick = 0.0
     while tick <= y_hi * (1 + 1e-9):
         py = sy(tick)
-        canvas.add(
+        parts.append(
             f'<line x1="{_ML - 4}" y1="{_fmt(py)}" x2="{_ML}" y2="{_fmt(py)}" stroke="#888"/>'
         )
-        canvas.add(
+        parts.append(
             f'<text x="{_ML - 8}" y="{_fmt(py + 4)}" text-anchor="end">{tick:g}</text>'
         )
         tick += step
-    canvas.add(
+    parts.append(
         f'<text x="14" y="{_MT + 12}" transform="rotate(-90 14 {_MT + 12})" '
         f'text-anchor="end">{label}</text>'
     )
 
 
-def _x_tick(canvas: _Canvas, px: float, label: str) -> None:
-    canvas.add(
+def _x_tick(parts: list[str], px: float, label: str) -> None:
+    parts.append(
         f'<line x1="{_fmt(px)}" y1="{_HEIGHT - _MB}" x2="{_fmt(px)}" '
         f'y2="{_HEIGHT - _MB + 4}" stroke="#888"/>'
     )
-    canvas.add(f'<text x="{_fmt(px)}" y="{_HEIGHT - _MB + 18}" text-anchor="middle">{label}</text>')
+    parts.append(f'<text x="{_fmt(px)}" y="{_HEIGHT - _MB + 18}" text-anchor="middle">{label}</text>')
 
 
-def _polylines(canvas: _Canvas, xs, ys, sx, sy, cls: str, style: str) -> None:
-    """One polyline per run of defined (non-NaN) samples; a gap splits the line.
+def _polylines(parts: list[str], xs, ys, sx, sy, cls: str, style: str) -> None:
+    """One polyline per maximal run of defined (non-NaN) samples: a NaN always splits the line.
 
     ``sx``/``sy`` map whole arrays with the per-point float operations, and
     each run is one ``%``-format, so the text equals per-point ``_fmt``.
@@ -201,10 +181,12 @@ def _polylines(canvas: _Canvas, xs, ys, sx, sy, cls: str, style: str) -> None:
     xy = np.empty((len(xs), 2))
     xy[:, 0] = sx(xs)
     xy[:, 1] = sy(ys)
-    for start, stop in _runs(~np.isnan(ys)):
+    # Defined/NaN flips, with NaN assumed on both sides: each run is a (start, stop) pair.
+    edges = np.flatnonzero(np.diff(np.isnan(ys), prepend=True, append=True)).tolist()
+    for start, stop in zip(edges[::2], edges[1::2]):
         coords = tuple(xy[start:stop].ravel().tolist())
         points = " ".join(["%.2f,%.2f"] * (stop - start)) % coords
-        canvas.add(f'<polyline class="{cls}" fill="none" {style} points="{points}"/>')
+        parts.append(f'<polyline class="{cls}" fill="none" {style} points="{points}"/>')
 
 
 def render_series_svg(
@@ -227,23 +209,21 @@ def render_series_svg(
     y_hi = max((float(c.max()) for c in finite if c.size), default=1.0)
     y_hi = y_hi if y_hi > 0 else 1.0
 
-    canvas = _Canvas(title)
-    sx, sy = _scales(lo, hi - 1 if hi - 1 > lo else lo + 1, y_hi)
-    _y_axis(canvas, sy, y_hi, "W/m2")
+    parts, sx, sy = _frame(title, lo, hi - 1 if hi - 1 > lo else lo + 1, y_hi, "W/m2")
 
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         k = lo + int(round(frac * (hi - 1 - lo)))
-        _x_tick(canvas, sx(k), series.time_at(k).strftime("%m-%d %H:%M"))
+        _x_tick(parts, sx(k), series.time_at(k).strftime("%m-%d %H:%M"))
 
     xs = np.arange(lo, hi)
     if band is not None:
         dash = 'stroke="black" stroke-dasharray="6,4"'
-        _polylines(canvas, xs, band.lower[lo:hi], sx, sy, "band-lower", dash)
-        _polylines(canvas, xs, band.upper[lo:hi], sx, sy, "band-upper", dash)
-    _polylines(canvas, xs, series.values[lo:hi], sx, sy, "measured", 'stroke="blue"')
+        _polylines(parts, xs, band.lower[lo:hi], sx, sy, "band-lower", dash)
+        _polylines(parts, xs, band.upper[lo:hi], sx, sy, "band-upper", dash)
+    _polylines(parts, xs, series.values[lo:hi], sx, sy, "measured", 'stroke="blue"')
     if forecast is not None:
-        _polylines(canvas, xs, forecast.predicted[lo:hi], sx, sy, "predicted", 'stroke="red"')
-    return canvas.text()
+        _polylines(parts, xs, forecast.predicted[lo:hi], sx, sy, "predicted", 'stroke="red"')
+    return "\n".join(parts) + "\n</svg>\n"
 
 
 def render_histogram_svg(hist: Histogram, title: str) -> str:
@@ -252,14 +232,12 @@ def render_histogram_svg(hist: Histogram, title: str) -> str:
     x_hi = float(hist.bin_edges[-1])
     y_hi = max(float(hist.counts.max()), float(hist.curve_y.max()), 1.0)
 
-    canvas = _Canvas(title)
-    sx, sy = _scales(x_lo, x_hi, y_hi)
-    _y_axis(canvas, sy, y_hi, "count")
+    parts, sx, sy = _frame(title, x_lo, x_hi, y_hi, "count")
 
     step = _nice_step(x_hi - x_lo)
     tick = math.ceil(x_lo / step) * step
     while tick <= x_hi + step * 1e-9:
-        _x_tick(canvas, sx(tick), f"{tick:g}")
+        _x_tick(parts, sx(tick), f"{tick:g}")
         tick += step
 
     floor = sy(0.0)
@@ -267,13 +245,13 @@ def render_histogram_svg(hist: Histogram, title: str) -> str:
         left = sx(float(hist.bin_edges[i]))
         right = sx(float(hist.bin_edges[i + 1]))
         top = sy(float(count))
-        canvas.add(
+        parts.append(
             f'<rect class="diff-bin" x="{_fmt(left)}" y="{_fmt(top)}" '
             f'width="{_fmt(right - left)}" height="{_fmt(floor - top)}" '
             f'fill="blue" fill-opacity="0.55"/>'
         )
-    _polylines(canvas, hist.curve_x, hist.curve_y, sx, sy, "normal-curve", 'stroke="red"')
-    return canvas.text()
+    _polylines(parts, hist.curve_x, hist.curve_y, sx, sy, "normal-curve", 'stroke="red"')
+    return "\n".join(parts) + "\n</svg>\n"
 
 
 def zoom_range(series: IrradianceSeries, zoom: tuple[datetime, datetime] | None = None) -> tuple[int, int]:

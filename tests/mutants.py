@@ -1,0 +1,193 @@
+"""A standing mutation check: each named mutant must make its named tests fail.
+
+Run from anywhere, with the same Python that runs the test suite:
+
+    python tests/mutants.py
+
+Each mutant replaces one exact snippet of one file under ``src/`` with its
+replacement, in a fresh temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``,
+and runs its named tests there with pytest. The mutant is killed when pytest reports a
+failed test (exit 1). The check fails when any mutant survives, when a
+snippet does not occur exactly once in its file (a refactor must update its
+mutants), or when the named tests do not all pass on the unmutated copy.
+Standard library only; pytest runs in child processes, one at a time.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "ranks-without-downward-settle",
+        "src/solarband/bands.py",
+        "    while (down := (rank > 1) & ((rank - 1) / counts >= target)).any():\n"
+        "        rank -= down\n",
+        "",
+        ("tests/test_bands.py::test_calibrate_exact_rank_boundaries",),
+    ),
+    Mutant(
+        "ranks-without-upward-settle",
+        "src/solarband/bands.py",
+        "    while (up := rank / counts < target).any():\n        rank += up\n",
+        "",
+        ("tests/test_bands.py::test_calibrate_target_just_past_a_boundary_takes_the_next_rank",),
+    ),
+    Mutant(
+        "order-statistics-off-by-one",
+        "src/solarband/bands.py",
+        "runs[offsets + within - 1]",
+        "runs[offsets + within - 2]",
+        ("tests/test_bands.py::test_calibrate_matches_brute_force",
+         "tests/test_bands.py::test_a_batch_equals_the_per_window_rule_at_every_index"),
+    ),
+    Mutant(
+        "calibration-grid-anchored-to-the-track-start",
+        "src/solarband/bands.py",
+        "min((-start_minute) % recal_every, n)",
+        "min(0, n)",
+        ("tests/test_bands.py::test_recalibration_grid_is_absolute",),
+    ),
+    Mutant(
+        "trend-slope-without-its-plus-zero-start",
+        "src/solarband/decomposition.py",
+        "acc.fill(0.0)",
+        "acc.fill(-0.0)",
+        ("tests/test_decomposition.py::test_block_fit_is_the_whole_view_fit_bit_for_bit",),
+    ),
+    Mutant(
+        "trend-overflow-uncounted-in-a-one-row-block",
+        "src/solarband/decomposition.py",
+        "overflowed += bad.size\n",
+        "overflowed += bad.size if b - a > 1 else 0\n",
+        ("tests/test_decomposition.py::test_block_fit_is_the_whole_view_fit_bit_for_bit",),
+    ),
+    Mutant(
+        "tracks-with-nan-compare-unequal",
+        "src/solarband/series.py",
+        "equal_nan=self._dtype is float",
+        "equal_nan=False",
+        ("tests/test_tracks.py::test_tracks_compare_by_value",),
+    ),
+    Mutant(
+        "inside-band-as-an-open-interval",
+        "src/solarband/bands.py",
+        "(lower <= realized) & (realized <= upper)",
+        "(lower < realized) & (realized < upper)",
+        ("tests/test_report.py::test_hand_computed_four_record_card",),
+    ),
+    Mutant(
+        "a-normality-tie-rejects",
+        "src/solarband/normality.py",
+        "reject=statistic > threshold",
+        "reject=statistic >= threshold",
+        ("tests/test_normality.py::test_a_statistic_equal_to_its_threshold_is_no_reject",),
+    ),
+    Mutant(
+        "eligible-drops-its-first-field",
+        "src/solarband/series.py",
+        "    for field in fields:\n",
+        "    for field in fields[1:]:\n",
+        ("tests/test_bands.py::test_a_batch_equals_the_per_window_rule_at_every_index",),
+    ),
+    Mutant(
+        "grid-reader-checks-the-second-before-the-stamp-layout",
+        "src/solarband/series.py",
+        '    check("malformed timestamp", malformed | (commas[:, 0] - starts[:n] != STAMP_LEN))\n'
+        '    check("timestamp not minute-aligned", second != 0)\n',
+        '    check("timestamp not minute-aligned", second != 0)\n'
+        '    check("malformed timestamp", malformed[:n] | (commas[:n, 0] - starts[:n] != STAMP_LEN))\n',
+        ("tests/test_grid_csv.py::test_first_defect_names_its_line",),
+    ),
+    Mutant(
+        "one-polyline-drawn-across-a-gap",
+        "src/solarband/report.py",
+        "zip(edges[::2], edges[1::2])",
+        "[(edges[0], edges[-1])] if edges else []",
+        ("tests/test_report.py::test_polyline_points_with_gaps",
+         "tests/test_report.py::test_series_svg_equals_per_point_reference"),
+    ),
+    Mutant(
+        "report-writes-its-files-in-place",
+        "src/solarband/cli.py",
+        "        out.mkdir(parents=True, exist_ok=True)\n",
+        "        out.mkdir(parents=True, exist_ok=True)\n"
+        "        for name, text in texts.items():\n"
+        "            (out / name).write_text(text)\n",
+        ("tests/test_cli.py::test_report_failing_on_its_third_file_writes_nothing",),
+    ),
+)
+
+
+def checkout_copy(into: Path) -> Path:
+    """``src/``, ``tests/`` and the pytest settings of this checkout, copied under ``into``."""
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, into / part, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", into)
+    return into
+
+
+def pytest_code(copy: Path, tests: tuple[str, ...]) -> int:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def mutate(copy: Path, mutant: Mutant) -> str | None:
+    """Apply ``mutant`` in ``copy``; the reason it cannot be applied, or None."""
+    path = copy / mutant.file
+    text = path.read_text()
+    found = text.count(mutant.snippet)
+    if found != 1:
+        return f"snippet occurs {found} times in {mutant.file}, not once"
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+    return None
+
+
+def main() -> int:
+    start = time.perf_counter()
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        baseline = checkout_copy(Path(scratch) / "baseline")
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        code = pytest_code(baseline, tests)
+        if code != 0:
+            print(f"FAIL baseline: the named tests exit {code} on the unmutated copy")
+            return 1
+        for i, mutant in enumerate(MUTANTS):
+            copy = checkout_copy(Path(scratch) / f"m{i}")
+            reason = mutate(copy, mutant)
+            if reason is None:
+                code = pytest_code(copy, mutant.tests)
+                reason = None if code == 1 else f"pytest exit {code}, not 1 (a failed test)"
+            print(f"{'killed' if reason is None else 'FAIL'} {mutant.name}"
+                  + ("" if reason is None else f": {reason}"), flush=True)
+            failures += reason is not None
+            shutil.rmtree(copy)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

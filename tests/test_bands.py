@@ -305,7 +305,10 @@ def test_standalone_call_computes_only_its_window(monkeypatch):
     assert alpha == reference_calibrate(f, v, mask, 5 * 1440, 1, bands.DEFAULT_TARGET)
 
 
-@pytest.mark.parametrize("target, n", [(0.68, 25), (0.6, 5), (0.7, 10), (0.3, 10), (0.5, 2)])
+# 0.07 * 100 and 0.14 * 100 overshoot their integer (7.000000000000001, 14.000000000000002)
+@pytest.mark.parametrize(
+    "target, n", [(0.68, 25), (0.6, 5), (0.7, 10), (0.3, 10), (0.5, 2), (0.07, 100), (0.14, 100)]
+)
 def test_calibrate_exact_rank_boundaries(target, n):
     """Where target * n is an exact integer the rank is that integer, however the product rounds."""
     ratios = np.arange(1, n + 1, dtype=float)

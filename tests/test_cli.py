@@ -99,9 +99,10 @@ def test_report_emits_scorecard_and_three_svgs(tmp_path):
     outdir = tmp_path / "out"
     run("synth", "--output", str(series_csv), "--days", "5", "--regime", "broken", "--seed", "9")
     assert run("report", "--input", str(series_csv), "--output", str(outdir)) == 0
-    assert (outdir / "scorecard.csv").exists()
-    svgs = sorted(p.name for p in outdir.glob("*.svg"))
-    assert svgs == ["histogram.svg", "monthly.svg", "zoom.svg"]
+    # exactly the four files, no temporary one, each with the mode a plain write gives
+    modes = {p.name: p.stat().st_mode for p in outdir.iterdir()}
+    assert modes == dict.fromkeys(["histogram.svg", "monthly.svg", "scorecard.csv", "zoom.svg"],
+                                  series_csv.stat().st_mode)
     header = (outdir / "scorecard.csv").read_text().split("\n")[0]
     assert header == "rmse,mae,nrmse,coverage,mean_band_width,n_scored"
 
@@ -404,6 +405,86 @@ def test_failed_report_writes_nothing(tmp_path, monkeypatch):
     assert list(outdir.iterdir()) == []
 
 
+def test_report_into_a_directory_target_writes_nothing(tmp_path, capsys):
+    """scorecard.csv and monthly.svg were written before zoom.svg/ failed with IsADirectoryError."""
+    series_csv = tmp_path / "series.csv"
+    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "12")
+    outdir = tmp_path / "out"
+    (outdir / "zoom.svg").mkdir(parents=True)
+    (outdir / "zoom.svg" / "kept.txt").write_text("kept\n")
+    before = _snapshot(outdir)
+    assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
+    assert "IsADirectoryError" in capsys.readouterr().err
+    assert _snapshot(outdir) == before
+
+
+def test_report_failing_on_its_third_file_writes_nothing(tmp_path, monkeypatch):
+    """An in-place writer left scorecard.csv and monthly.svg behind when zoom.svg failed."""
+    series_csv = tmp_path / "series.csv"
+    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "12")
+    outdir = tmp_path / "new" / "out"
+    calls = []
+    write_text = Path.write_text
+
+    def third_fails(self, data, *args, **kwargs):
+        calls.append(self.name)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", third_fails)
+    assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
+    assert len(calls) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]  # no out/, no temporary file
+
+
+def test_report_whose_mkdir_fails_after_its_parents_removes_them(tmp_path, monkeypatch):
+    """A mkdir outside the cleanup left new/ behind when making new/out failed."""
+    series_csv = tmp_path / "series.csv"
+    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "12")
+    mkdir = Path.mkdir
+
+    def parents_then_fail(self, *args, **kwargs):
+        mkdir(self.parent, parents=True, exist_ok=True)
+        raise OSError(36, "File name too long")
+
+    monkeypatch.setattr(Path, "mkdir", parents_then_fail)
+    outdir = tmp_path / "new" / "out"
+    assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
+
+
+def test_report_failing_on_its_third_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
+    series_csv = tmp_path / "series.csv"
+    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "12")
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    calls = []
+    replace = os.replace
+
+    def third_fails(src, dst):
+        calls.append(dst)
+        if len(calls) == 3:
+            raise OSError(5, "Input/output error")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", third_fails)
+    assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(Path(d).name for d in calls[:2])
+
+
+def test_report_overwrites_a_temporary_file_left_by_a_killed_run(tmp_path):
+    """A run killed mid-write under the same process id must not lock the directory."""
+    series_csv = tmp_path / "series.csv"
+    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "12")
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / f".scorecard.csv.{os.getpid()}.tmp").write_text("stale\n")
+    assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_OK
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "histogram.svg", "monthly.svg", "scorecard.csv", "zoom.svg"]
+
+
 @pytest.mark.parametrize("horizon", ["3000", "2800"])
 def test_forecast_with_no_defined_prediction_is_a_data_error(tmp_path, capsys, horizon):
     """On 2,880 samples, 3000 passes the series and 2800 leaves no full trend window that far back."""
@@ -654,7 +735,8 @@ def test_every_run_exits_0_2_3_or_4_and_a_failed_run_writes_nothing(contract_inp
     argv += [f"{flag}={data.draw(st.sampled_from(HOSTILE), label=flag)}" for flag in flags]
     if sub == "lilliefors-table" and "--replicates" not in flags:
         argv.append("--replicates=1000")  # the smallest table, about 0.4 s
-    kinds = ("absent", "file", "directory") + (("omitted",) if sub == "normtest" else ())
+    kinds = ("absent", "file", "directory", "directory holding zoom.svg/")
+    kinds += ("omitted",) if sub == "normtest" else ()
     kind = data.draw(st.sampled_from(kinds), label="output")
     with tempfile.TemporaryDirectory(dir=inputs) as scratch:
         out = Path(scratch) / "out"
@@ -663,6 +745,9 @@ def test_every_run_exits_0_2_3_or_4_and_a_failed_run_writes_nothing(contract_inp
         elif kind == "directory":
             out.mkdir()
             (out / "kept.txt").write_text("kept\n")
+        elif kind == "directory holding zoom.svg/":
+            (out / "zoom.svg").mkdir(parents=True)
+            (out / "zoom.svg" / "kept.txt").write_text("kept\n")
         if kind != "omitted":
             argv.append(f"--output={out}")
         before = _snapshot(out)

@@ -266,13 +266,18 @@ def test_plots_refuse_tracks_not_aligned_with_the_series():
                 emit_plot(series, forecast, frontiers, kind, zoom=zoom)
 
 
-def reference_polylines(canvas, xs, ys, sx, sy, cls, style):
-    """The per-point formatter the array version replaced: one ``_fmt`` per coordinate."""
-    for start, stop in report._runs(~np.isnan(ys)):
-        points = " ".join(
-            f"{report._fmt(sx(xs[k]))},{report._fmt(sy(ys[k]))}" for k in range(start, stop)
-        )
-        canvas.add(f'<polyline class="{cls}" fill="none" {style} points="{points}"/>')
+def reference_polylines(parts, xs, ys, sx, sy, cls, style):
+    """The per-point formatter the array version replaced: one ``_fmt`` per coordinate,
+    and a new polyline after every NaN."""
+    runs = [[]]
+    for x, y in zip(xs, ys):
+        if math.isnan(y):
+            runs.append([])
+        else:
+            runs[-1].append(f"{report._fmt(sx(x))},{report._fmt(sy(y))}")
+    for run in runs:
+        if run:
+            parts.append(f'<polyline class="{cls}" fill="none" {style} points="{" ".join(run)}"/>')
 
 
 def _with_reference_polylines(render, *args):
@@ -293,19 +298,39 @@ def gappy_values(draw, n):
     return np.where(gaps, np.nan, vals)
 
 
-@settings(max_examples=80, deadline=None, database=None)
-@given(data=st.data(), n=st.integers(1, 120))
-def test_series_svg_equals_per_point_reference(data, n):
-    series = make_series(data.draw(gappy_values(n)))
+@st.composite
+def series_plot_args(draw):
+    n = draw(st.integers(1, 120))
+    series = make_series(draw(gappy_values(n)))
     forecast = band = None
-    if data.draw(st.booleans()):
-        forecast = _track(data.draw(gappy_values(n)), series.values)
-    if data.draw(st.booleans()):
-        lower = data.draw(gappy_values(n))
-        band = _band(lower, lower + np.nan_to_num(data.draw(gappy_values(n))))
-    lo = data.draw(st.integers(0, n - 1))
-    hi = data.draw(st.one_of(st.just(lo + 1), st.integers(lo + 1, n)))  # single samples too
-    args = (series, forecast, band, lo, hi, "t")
+    if draw(st.booleans()):
+        forecast = _track(draw(gappy_values(n)), series.values)
+    if draw(st.booleans()):
+        lower = draw(gappy_values(n))
+        band = _band(lower, lower + np.nan_to_num(draw(gappy_values(n))))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.one_of(st.just(lo + 1), st.integers(lo + 1, n)))  # single samples too
+    return series, forecast, band, lo, hi, "t"
+
+
+def _every_line(values):
+    """A whole-range plot whose four lines all have the gaps of ``values``."""
+    values = np.array(values, dtype=float)
+    return make_series(values), _track(values, values), _band(values, values + 1.0), 0, len(values), "t"
+
+
+nan = math.nan
+
+
+@example(args=_every_line([nan] * 5))
+@example(args=_every_line([7.0, nan, nan, nan]))  # one defined sample, first
+@example(args=_every_line([nan, nan, nan, 7.0]))  # one defined sample, last
+@example(args=_every_line([nan, 1.0, nan, 2.0, nan, 3.0]))  # strictly alternating
+@example(args=_every_line([1.0, nan, 2.0, nan, 3.0, nan]))
+@example(args=_every_line([nan, 1.0, 2.0, 3.0, nan]))  # gaps at index 0 and at the last index
+@settings(max_examples=80, deadline=None, database=None)
+@given(args=series_plot_args())
+def test_series_svg_equals_per_point_reference(args):
     assert render_series_svg(*args) == _with_reference_polylines(render_series_svg, *args)
 
 
