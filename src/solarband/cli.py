@@ -2,8 +2,9 @@
 
 Every stage reads and writes plain CSV, so each is independently
 inspectable; all randomness flows from --seed and every invocation is
-byte-deterministic. Exit codes: 0 success, 2 usage error, 3 data error,
-4 uncalibratable window.
+byte-deterministic. ``main`` writes what each subcommand returns, all or
+nothing (``_write_all``); the parent of every --output must exist. Exit
+codes: 0 success, 2 usage error, 3 data error, 4 uncalibratable window.
 """
 
 from __future__ import annotations
@@ -101,7 +102,10 @@ def _track_daylight(track: ForecastTrack, eps_day: float) -> DaylightMask:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+Texts = dict[Path | None, str]  # a text for each target path; None is stdout
+
+
+def _cmd_synth(args: argparse.Namespace) -> Texts:
     cfg = synth.SynthConfig(
         latitude=args.latitude,
         day_of_year=args.day_of_year,
@@ -110,18 +114,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         cloud_regime=args.regime,
         seed=args.seed,
     )
-    Path(args.output).write_text(emit_csv(synth.generate(cfg)))
-    return EXIT_OK
+    return {args.output: emit_csv(synth.generate(cfg))}
 
 
-def _cmd_forecast(args: argparse.Namespace) -> int:
+def _cmd_forecast(args: argparse.Namespace) -> Texts:
     series = ingest_csv(Path(args.input).read_text())
     track = trend_forecast(series, extract_trend(series, args.window_w), args.horizon)
     if np.isnan(track.predicted).all():
         raise ValueError(f"no defined prediction: each needs a gap-free --window-w {args.window_w} "
                          f"trend window ending --horizon {args.horizon} minutes earlier")
-    Path(args.output).write_text(write_forecast_csv(track))
-    return EXIT_OK
+    return {args.output: write_forecast_csv(track)}
 
 
 def _calibrated_band_from_track(track: ForecastTrack, mask: DaylightMask, args: argparse.Namespace):
@@ -136,31 +138,25 @@ def _calibrated_band_from_track(track: ForecastTrack, mask: DaylightMask, args: 
     return band
 
 
-def _cmd_bands(args: argparse.Namespace) -> int:
+def _cmd_bands(args: argparse.Namespace) -> Texts:
     track = read_forecast_csv(Path(args.input).read_text(), args.horizon)
     band = _calibrated_band_from_track(track, _track_daylight(track, args.eps_day), args)
-    Path(args.output).write_text(write_band_csv(band))
     stamps = _stamps(track.start_time, np.array([k for k, _ in band.events], dtype=np.int64))
-    sys.stdout.write("".join(
+    return {args.output: write_band_csv(band), None: "".join(
         f"{stamp} alpha={format_value(alpha) if alpha is not None else 'unchanged'}\n"
         for stamp, (_, alpha) in zip(stamps, band.events)
-    ))
-    return EXIT_OK
+    )}
 
 
-def _cmd_normtest(args: argparse.Namespace) -> int:
+def _cmd_normtest(args: argparse.Namespace) -> Texts:
     # The horizon is not in the file and the daylight errors do not depend on it.
     track = read_forecast_csv(Path(args.input).read_text(), DEFAULT_HORIZON)
     sample = risk.daylight_errors(track, _track_daylight(track, args.eps_day))
     text = normtest_report_csv(normality.normtests(sample, args.level))
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return {args.output: text}  # None: stdout
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> Texts:
     series = ingest_csv(Path(args.input).read_text())
     if bool(args.zoom_from) != bool(args.zoom_to):
         raise ValueError("--from and --to must be given together")
@@ -169,48 +165,49 @@ def _cmd_report(args: argparse.Namespace) -> int:
     track = trend_forecast(series, extract_trend(series, args.window_w), args.horizon)
     mask = series_mod.daylight_mask(series, args.eps_day)
     band = _calibrated_band_from_track(track, mask, args)
-
-    # Every artifact is built before any is written, so a failure leaves none behind.
-    texts = {
-        "scorecard.csv": report.scorecard_csv(report.score(track, band, mask)),
-        "monthly.svg": report.emit_plot(series, track, band, "monthly"),
-        "zoom.svg": report.emit_plot(series, track, band, "zoom", zoom=zoom),
-        "histogram.svg": report.emit_plot(series, track, band, "histogram", mask=mask),
+    out = args.output
+    return {
+        out / "scorecard.csv": report.scorecard_csv(report.score(track, band, mask)),
+        out / "monthly.svg": report.emit_plot(series, track, band, "monthly"),
+        out / "zoom.svg": report.emit_plot(series, track, band, "zoom", zoom=zoom),
+        out / "histogram.svg": report.emit_plot(series, track, band, "histogram", mask=mask),
     }
-    _write_all(Path(args.output), texts)
-    return EXIT_OK
 
 
-def _write_all(out: Path, texts: dict[str, str]) -> None:
-    """Write each text to its file under ``out``, all or none: each to a temporary file
-    beside its target, renamed once every one is complete. A failure removes the temporary
-    files, and ``out`` with any parent this call created and left empty: only a failed
-    rename (rare within one directory) keeps the targets it already replaced."""
-    for name in texts:
-        if (out / name).is_dir():
-            raise IsADirectoryError(f"{out / name} is a directory")
-    created = [d for d in (out, *out.parents) if not d.exists()]
+def _cmd_lilliefors_table(args: argparse.Namespace) -> Texts:
+    rows = normality.generate_table(seed=args.seed, replicates=args.replicates)
+    return {args.output: normality.format_table(rows)}
+
+
+def _write_all(texts: Texts, out: Path | None) -> None:
+    """Write each text to its target, all or none, then the text keyed None to stdout.
+
+    Each goes to a temporary file beside its target, renamed once all are complete.
+    ``out`` (--output) is a target or the directory that holds them, made here if
+    missing. A failure removes the temporary files and a directory made here: only
+    a failed rename (rare within one directory) keeps the targets it already replaced.
+    """
+    stdout = texts.pop(None, "")
+    for target in texts:
+        if target.is_dir():
+            raise IsADirectoryError(f"{target} is a directory")
+    made = out is not None and out not in texts and not out.exists()
+    if made:
+        out.mkdir()  # no parents: the parent of every --output must exist
     temps = []
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in texts.items():
-            temps.append(out / f".{name}.{os.getpid()}.tmp")  # only a dead run can own it
+        for target, text in texts.items():
+            temps.append(target.with_name(f".{target.name}.{os.getpid()}.tmp"))  # only a dead run can own it
             temps[-1].write_text(text)
-        for temp, name in zip(temps, texts):
-            os.replace(temp, out / name)
+        for temp, target in zip(temps, texts):
+            os.replace(temp, target)
     except BaseException:
         for temp in temps:
             temp.unlink(missing_ok=True)
-        for d in created:
-            if d.exists() and not any(d.iterdir()):
-                d.rmdir()
+        if made and not any(out.iterdir()):
+            out.rmdir()
         raise
-
-
-def _cmd_lilliefors_table(args: argparse.Namespace) -> int:
-    rows = normality.generate_table(seed=args.seed, replicates=args.replicates)
-    Path(args.output).write_text(normality.format_table(rows))
-    return EXIT_OK
+    sys.stdout.write(stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(p: argparse.ArgumentParser, input_help: str, output_help: str) -> None:
         p.add_argument("--input", required=True, help=input_help)
-        p.add_argument("--output", required=True, help=output_help)
+        p.add_argument("--output", type=Path, required=True, help=output_help)
 
     p = sub.add_parser("synth", help="generate a synthetic irradiance CSV")
-    p.add_argument("--output", required=True, help="irradiance CSV to write")
+    p.add_argument("--output", type=Path, required=True, help="irradiance CSV to write")
     p.add_argument("--days", type=int, default=1)
     p.add_argument("--regime", choices=synth.REGIMES, default="broken")
     p.add_argument("--seed", type=int, default=0)
@@ -256,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normtest", help="forecast-track CSV -> normality reports")
     p.add_argument("--input", required=True, help="forecast-track CSV")
-    p.add_argument("--output", help="report CSV (stdout when omitted)")
+    p.add_argument("--output", type=Path, help="report CSV (stdout when omitted)")
     p.add_argument("--eps-day", type=float, default=DEFAULT_EPS_DAY)
     p.add_argument("--level", type=float, default=normality.DEFAULT_LEVEL)
     p.set_defaults(func=_cmd_normtest)
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("lilliefors-table", help="regenerate the simulated null table")
-    p.add_argument("--output", required=True, help="table CSV to write")
+    p.add_argument("--output", type=Path, required=True, help="table CSV to write")
     p.add_argument("--seed", type=int, default=normality.TABLE_SEED)
     p.add_argument("--replicates", type=int, default=normality.TABLE_REPLICATES)
     p.set_defaults(func=_cmd_lilliefors_table)
@@ -285,13 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write_all(args.func(args), args.output)
     except bands_mod.UncalibratableWindowError as exc:
         print(f"solarband {args.subcommand}: uncalibratable window: {exc}", file=sys.stderr)
         return EXIT_UNCALIBRATABLE
     except (ValueError, OSError) as exc:  # SeriesCsvError and TrackCsvError included
         print(f"solarband {args.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 def entrypoint() -> None:

@@ -128,11 +128,19 @@ MUTANTS = (
     Mutant(
         "report-writes-its-files-in-place",
         "src/solarband/cli.py",
-        "        out.mkdir(parents=True, exist_ok=True)\n",
-        "        out.mkdir(parents=True, exist_ok=True)\n"
-        "        for name, text in texts.items():\n"
-        "            (out / name).write_text(text)\n",
+        "        out.mkdir()  # no parents: the parent of every --output must exist\n",
+        "        out.mkdir()  # no parents: the parent of every --output must exist\n"
+        "        for target, text in texts.items():\n"
+        "            target.write_text(text)\n",
         ("tests/test_cli.py::test_report_failing_on_its_third_file_writes_nothing",),
+    ),
+    Mutant(
+        "writer-in-place",
+        "src/solarband/cli.py",
+        "            temps[-1].write_text(text)\n",
+        "            target.write_text(text)\n"
+        "            temps[-1].write_text(text)\n",
+        ("tests/test_cli.py::test_a_write_cut_by_the_file_size_limit_leaves_its_target_as_it_was",),
     ),
 )
 

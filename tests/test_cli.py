@@ -194,20 +194,24 @@ print(json.dumps(hashes))
 """
 
 
+def _child_env(**overrides):
+    """This environment with ``overrides``, importing this checkout's solarband first."""
+    package_root = str(Path(solarband.__file__).resolve().parents[1])
+    return dict(os.environ, **overrides, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 def test_artifacts_do_not_depend_on_blas_threads_hash_seed_or_zone(tmp_path):
     """A lone window's slope was a BLAS dot, whose bits moved with OPENBLAS_NUM_THREADS.
 
     The first child is also pinned to one CPU, so the fit's slopes and the
     power pass run in one thread there and on every usable CPU in the other.
     """
-    package_root = str(Path(solarband.__file__).resolve().parents[1])
     runs = []
     for name, threads, hash_seed, zone, pin in (("a", "1", "0", "UTC", ["pin"]),
                                                 ("b", "2", "random", "Pacific/Chatham", [])):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONHASHSEED=hash_seed, TZ=zone,
-                   PYTHONPATH=os.pathsep.join(filter(None, [package_root,
-                                                            os.environ.get("PYTHONPATH")])))
+        env = _child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                         PYTHONHASHSEED=hash_seed, TZ=zone)
         out = tmp_path / name
         out.mkdir()
         child = subprocess.run([sys.executable, "-c", _ENVIRONMENT_CHILD, *pin], cwd=out,
@@ -422,7 +426,7 @@ def test_report_failing_on_its_third_file_writes_nothing(tmp_path, monkeypatch):
     """An in-place writer left scorecard.csv and monthly.svg behind when zoom.svg failed."""
     series_csv = tmp_path / "series.csv"
     run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "12")
-    outdir = tmp_path / "new" / "out"
+    outdir = tmp_path / "out"
     calls = []
     write_text = Path.write_text
 
@@ -436,22 +440,6 @@ def test_report_failing_on_its_third_file_writes_nothing(tmp_path, monkeypatch):
     assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
     assert len(calls) == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]  # no out/, no temporary file
-
-
-def test_report_whose_mkdir_fails_after_its_parents_removes_them(tmp_path, monkeypatch):
-    """A mkdir outside the cleanup left new/ behind when making new/out failed."""
-    series_csv = tmp_path / "series.csv"
-    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "12")
-    mkdir = Path.mkdir
-
-    def parents_then_fail(self, *args, **kwargs):
-        mkdir(self.parent, parents=True, exist_ok=True)
-        raise OSError(36, "File name too long")
-
-    monkeypatch.setattr(Path, "mkdir", parents_then_fail)
-    outdir = tmp_path / "new" / "out"
-    assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
 
 def test_report_failing_on_its_third_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
@@ -735,11 +723,11 @@ def test_every_run_exits_0_2_3_or_4_and_a_failed_run_writes_nothing(contract_inp
     argv += [f"{flag}={data.draw(st.sampled_from(HOSTILE), label=flag)}" for flag in flags]
     if sub == "lilliefors-table" and "--replicates" not in flags:
         argv.append("--replicates=1000")  # the smallest table, about 0.4 s
-    kinds = ("absent", "file", "directory", "directory holding zoom.svg/")
+    kinds = ("absent", "file", "directory", "directory holding zoom.svg/", "in a missing directory")
     kinds += ("omitted",) if sub == "normtest" else ()
     kind = data.draw(st.sampled_from(kinds), label="output")
     with tempfile.TemporaryDirectory(dir=inputs) as scratch:
-        out = Path(scratch) / "out"
+        out = Path(scratch) / ("missing/out" if kind == "in a missing directory" else "out")
         if kind == "file":
             out.write_text("kept\n")
         elif kind == "directory":
@@ -760,3 +748,48 @@ def test_every_run_exits_0_2_3_or_4_and_a_failed_run_writes_nothing(contract_inp
         assert code in (0, 2, 3, 4), argv
         if code != 0:
             assert _snapshot(out) == before, argv
+        if kind == "in a missing directory":  # the parent of every --output must exist
+            assert code != 0 and not out.parent.exists(), argv
+
+
+def _contract_argv(inputs, sub):
+    """A valid ``sub`` run on the contract inputs, without its --output."""
+    return [sub, *{
+        "synth": [],
+        "forecast": [f"--input={inputs / 'series.csv'}"],
+        "bands": [f"--input={inputs / 'track.csv'}"],
+        "normtest": [f"--input={inputs / 'track.csv'}"],
+        "report": [f"--input={inputs / 'series.csv'}"],
+        "lilliefors-table": ["--replicates=1000"],
+    }[sub]]
+
+
+@pytest.mark.parametrize("sub", sorted(FLAGS))
+def test_an_output_in_a_missing_directory_is_a_data_error(contract_inputs, tmp_path, capsys, sub):
+    """report made missing/ and missing/out/ and exited 0; the others exited 3."""
+    inputs, _ = contract_inputs
+    out = tmp_path / "missing" / "out"
+    assert run(*_contract_argv(inputs, sub), f"--output={out}") == cli.EXIT_DATA
+    assert "FileNotFoundError" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub, existed", [("synth", True), ("forecast", False), ("bands", True),
+                                          ("normtest", False), ("report", False),
+                                          ("lilliefors-table", True)])
+def test_a_write_cut_by_the_file_size_limit_leaves_its_target_as_it_was(contract_inputs, tmp_path,
+                                                                        sub, existed):
+    """forecast wrote track.csv in place, so a file-size limit left it cut mid-row (exit 3)."""
+    resource = pytest.importorskip("resource")
+    inputs, _ = contract_inputs
+    out = tmp_path / "out"
+    if existed:
+        out.write_text("kept\n")
+    argv = [sys.executable, "-m", "solarband.cli", *_contract_argv(inputs, sub), f"--output={out}"]
+    child = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=300,
+                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100)))
+    assert child.returncode == cli.EXIT_DATA, child.stderr
+    assert "File too large" in child.stderr
+    assert child.stdout == ""  # bands prints its multiplier history only once band.csv is in place
+    assert _snapshot(tmp_path) == ({"out": b"kept\n"} if existed else {})  # no temporary file
+    assert list(tmp_path.iterdir()) == ([out] if existed else [])
