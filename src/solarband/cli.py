@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -21,26 +22,16 @@ from . import normality, report, risk, synth
 from . import series as series_mod
 from .decomposition import DEFAULT_WINDOW, extract_trend
 from .forecast import DEFAULT_HORIZON, ForecastTrack, trend_forecast
-from .series import (
-    DEFAULT_EPS_DAY,
-    DaylightMask,
-    IrradianceSeries,
-    SeriesCsvError,
-    _stamps,
-    emit_csv,
-    format_value,
-    ingest_csv,
-    parse_timestamp,
-    read_grid_csv,
-    write_grid_csv,
-)
+from .series import (DEFAULT_EPS_DAY, MAX_GRID_MINUTES, DaylightMask, IrradianceSeries,
+                     SeriesCsvError, _stamps, emit_csv, format_value, ingest_csv,
+                     parse_timestamp, read_grid_csv, write_grid_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_UNCALIBRATABLE = 4
 
-FORECAST_CSV_HEADER = "timestamp,predicted_wm2,realized_wm2"
+FORECAST_CSV_HEADER = "timestamp,predicted_wm2,realized_wm2"  # at DEFAULT_HORIZON
 BAND_CSV_HEADER = "timestamp,lower_wm2,upper_wm2,alpha"
 NORMTEST_HEADER = "test,n,statistic,threshold,level,reject"
 
@@ -51,36 +42,41 @@ class TrackCsvError(ValueError):
 
 # A malformed stamp is a SeriesCsvError in every minute-grid file.
 _TRACK_ERRORS = {"": TrackCsvError, "malformed timestamp": SeriesCsvError}
+# At most 7 digits and no leading zero: every horizon below MAX_GRID_MINUTES, one spelling each.
+_NAMED_HORIZON = re.compile(r"timestamp,predicted_([1-9][0-9]{0,6})min_wm2,")
+
+
+def _track_header(horizon: int) -> str:
+    """The one header for a track at ``horizon``: any other names its predicted column."""
+    named = "" if horizon == DEFAULT_HORIZON else f"_{horizon}min"
+    return FORECAST_CSV_HEADER.replace("predicted_", f"predicted{named}_")
 
 
 def write_forecast_csv(track: ForecastTrack) -> str:
     """Render a forecast track; rows with neither field defined are omitted."""
     keep = ~(np.isnan(track.predicted) & np.isnan(track.realized))
-    return write_grid_csv(
-        FORECAST_CSV_HEADER, track.start_time, keep, track.predicted, track.realized
-    )
+    return write_grid_csv(_track_header(track.horizon), track.start_time, keep,
+                          track.predicted, track.realized)
 
 
-def read_forecast_csv(text: str, horizon: int) -> ForecastTrack:
-    """Parse a forecast-track CSV back onto the minute grid.
+def read_forecast_csv(text: str) -> ForecastTrack:
+    """Parse a forecast-track CSV back onto the minute grid, at the horizon its header names.
 
-    The horizon is not stored in the file; the caller supplies it (the
-    ``--horizon`` flag) so the volatility shift stays consistent.
+    A header that names no horizon is at ``DEFAULT_HORIZON``. Any header but
+    the one ``write_forecast_csv`` gives its horizon is a TrackCsvError.
     """
-    start, (predicted, realized) = read_grid_csv(
-        text, FORECAST_CSV_HEADER, _TRACK_ERRORS, empty_is_gap=True
-    )
-    return ForecastTrack(
-        start_time=start, horizon=horizon, predicted=predicted, realized=realized
-    )
+    named = _NAMED_HORIZON.match(text)
+    horizon = int(named[1]) if named else DEFAULT_HORIZON
+    header = _track_header(horizon if horizon < MAX_GRID_MINUTES else DEFAULT_HORIZON)
+    start, (predicted, realized) = read_grid_csv(text, header, _TRACK_ERRORS, empty_is_gap=True)
+    return ForecastTrack(start_time=start, horizon=horizon, predicted=predicted, realized=realized)
 
 
 def write_band_csv(band: bands_mod.BandTrack) -> str:
     """Render band frontiers; rows without a defined frontier are omitted."""
     keep = ~np.isnan(band.lower) & ~np.isnan(band.upper)
-    return write_grid_csv(
-        BAND_CSV_HEADER, band.start_time, keep, band.lower, band.upper, band.alpha
-    )
+    return write_grid_csv(BAND_CSV_HEADER, band.start_time, keep,
+                          band.lower, band.upper, band.alpha)
 
 
 def normtest_report_csv(reports: list[normality.NormalityReport]) -> str:
@@ -106,40 +102,34 @@ Texts = dict[Path | None, str]  # a text for each target path; None is stdout
 
 
 def _cmd_synth(args: argparse.Namespace) -> Texts:
-    cfg = synth.SynthConfig(
-        latitude=args.latitude,
-        day_of_year=args.day_of_year,
-        days=args.days,
-        clear_sky_peak=args.peak,
-        cloud_regime=args.regime,
-        seed=args.seed,
-    )
+    cfg = synth.SynthConfig(latitude=args.latitude, day_of_year=args.day_of_year, days=args.days,
+                            clear_sky_peak=args.peak, cloud_regime=args.regime, seed=args.seed)
     return {args.output: emit_csv(synth.generate(cfg))}
 
 
-def _cmd_forecast(args: argparse.Namespace) -> Texts:
-    series = ingest_csv(Path(args.input).read_text())
+def _forecast(series: IrradianceSeries, args: argparse.Namespace) -> ForecastTrack:
     track = trend_forecast(series, extract_trend(series, args.window_w), args.horizon)
     if np.isnan(track.predicted).all():
         raise ValueError(f"no defined prediction: each needs a gap-free --window-w {args.window_w} "
                          f"trend window ending --horizon {args.horizon} minutes earlier")
-    return {args.output: write_forecast_csv(track)}
+    return track
+
+
+def _cmd_forecast(args: argparse.Namespace) -> Texts:
+    series = ingest_csv(Path(args.input).read_text())
+    return {args.output: write_forecast_csv(_forecast(series, args))}
 
 
 def _calibrated_band_from_track(track: ForecastTrack, mask: DaylightMask, args: argparse.Namespace):
     vol = risk.volatility_track(track)
-    band = bands_mod.calibrated_band(
-        track, vol, mask, args.window_days, args.target, args.recal_every
-    )
+    band = bands_mod.calibrated_band(track, vol, mask, args.window_days, args.target, args.recal_every)
     if all(alpha is None for _, alpha in band.events):
-        raise bands_mod.UncalibratableWindowError(
-            "no calibration window had an eligible record"
-        )
+        raise bands_mod.UncalibratableWindowError("no calibration window had an eligible record")
     return band
 
 
 def _cmd_bands(args: argparse.Namespace) -> Texts:
-    track = read_forecast_csv(Path(args.input).read_text(), args.horizon)
+    track = read_forecast_csv(Path(args.input).read_text())
     band = _calibrated_band_from_track(track, _track_daylight(track, args.eps_day), args)
     stamps = _stamps(track.start_time, np.array([k for k, _ in band.events], dtype=np.int64))
     return {args.output: write_band_csv(band), None: "".join(
@@ -149,11 +139,9 @@ def _cmd_bands(args: argparse.Namespace) -> Texts:
 
 
 def _cmd_normtest(args: argparse.Namespace) -> Texts:
-    # The horizon is not in the file and the daylight errors do not depend on it.
-    track = read_forecast_csv(Path(args.input).read_text(), DEFAULT_HORIZON)
+    track = read_forecast_csv(Path(args.input).read_text())
     sample = risk.daylight_errors(track, _track_daylight(track, args.eps_day))
-    text = normtest_report_csv(normality.normtests(sample, args.level))
-    return {args.output: text}  # None: stdout
+    return {args.output: normtest_report_csv(normality.normtests(sample, args.level))}  # None: stdout
 
 
 def _cmd_report(args: argparse.Namespace) -> Texts:
@@ -162,7 +150,7 @@ def _cmd_report(args: argparse.Namespace) -> Texts:
         raise ValueError("--from and --to must be given together")
     zoom = (parse_timestamp(args.zoom_from), parse_timestamp(args.zoom_to)) if args.zoom_from else None
     report.zoom_range(series, zoom)  # a bad zoom fails before the pipeline runs
-    track = trend_forecast(series, extract_trend(series, args.window_w), args.horizon)
+    track = _forecast(series, args)
     mask = series_mod.daylight_mask(series, args.eps_day)
     band = _calibrated_band_from_track(track, mask, args)
     out = args.output
@@ -222,9 +210,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    shared = {  # flag: (type, default, help) for each flag more than one subcommand takes
+        "--window-w": (int, DEFAULT_WINDOW, "trend window, minutes"),
+        "--horizon": (int, DEFAULT_HORIZON, "forecast horizon, minutes"),
+        "--eps-day": (float, DEFAULT_EPS_DAY, "daylight threshold, W/m2"),
+        "--target": (float, bands_mod.DEFAULT_TARGET, "band coverage target"),
+        "--window-days": (int, bands_mod.DEFAULT_WINDOW_DAYS, "calibration window, days"),
+        "--recal-every": (int, bands_mod.DEFAULT_RECAL_MINUTES, "recalibration step, minutes"),
+    }
+
     def add_io(p: argparse.ArgumentParser, input_help: str, output_help: str) -> None:
         p.add_argument("--input", required=True, help=input_help)
         p.add_argument("--output", type=Path, required=True, help=output_help)
+
+    def add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:
+            kind, default, help_text = shared[flag]
+            p.add_argument(flag, type=kind, default=default, help=help_text)
 
     p = sub.add_parser("synth", help="generate a synthetic irradiance CSV")
     p.add_argument("--output", type=Path, required=True, help="irradiance CSV to write")
@@ -238,34 +240,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="irradiance CSV -> forecast-track CSV")
     add_io(p, "irradiance CSV", "forecast-track CSV to write")
-    p.add_argument("--window-w", type=int, default=DEFAULT_WINDOW, help="trend window, minutes")
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help="forecast horizon, minutes")
+    add_shared(p, "--window-w", "--horizon")
     p.set_defaults(func=_cmd_forecast)
 
     p = sub.add_parser("bands", help="forecast-track CSV -> calibrated band CSV")
     add_io(p, "forecast-track CSV", "band CSV to write")
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    p.add_argument("--eps-day", type=float, default=DEFAULT_EPS_DAY)
-    p.add_argument("--target", type=float, default=bands_mod.DEFAULT_TARGET)
-    p.add_argument("--window-days", type=int, default=bands_mod.DEFAULT_WINDOW_DAYS)
-    p.add_argument("--recal-every", type=int, default=bands_mod.DEFAULT_RECAL_MINUTES)
+    add_shared(p, "--eps-day", "--target", "--window-days", "--recal-every")
     p.set_defaults(func=_cmd_bands)
 
     p = sub.add_parser("normtest", help="forecast-track CSV -> normality reports")
     p.add_argument("--input", required=True, help="forecast-track CSV")
     p.add_argument("--output", type=Path, help="report CSV (stdout when omitted)")
-    p.add_argument("--eps-day", type=float, default=DEFAULT_EPS_DAY)
+    add_shared(p, "--eps-day")
     p.add_argument("--level", type=float, default=normality.DEFAULT_LEVEL)
     p.set_defaults(func=_cmd_normtest)
 
     p = sub.add_parser("report", help="irradiance CSV -> scorecard CSV + SVG plots")
     add_io(p, "irradiance CSV", "output directory")
-    p.add_argument("--window-w", type=int, default=DEFAULT_WINDOW)
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    p.add_argument("--eps-day", type=float, default=DEFAULT_EPS_DAY)
-    p.add_argument("--target", type=float, default=bands_mod.DEFAULT_TARGET)
-    p.add_argument("--window-days", type=int, default=bands_mod.DEFAULT_WINDOW_DAYS)
-    p.add_argument("--recal-every", type=int, default=bands_mod.DEFAULT_RECAL_MINUTES)
+    add_shared(p, *shared)  # every shared flag
     p.add_argument("--from", dest="zoom_from", help="zoom start timestamp")
     p.add_argument("--to", dest="zoom_to", help="zoom end timestamp (exclusive)")
     p.set_defaults(func=_cmd_report)
@@ -282,6 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.output is not None and not args.output.parent.is_dir():  # before any work
+            raise FileNotFoundError(f"no directory {args.output.parent} to hold --output")
         _write_all(args.func(args), args.output)
     except bands_mod.UncalibratableWindowError as exc:
         print(f"solarband {args.subcommand}: uncalibratable window: {exc}", file=sys.stderr)

@@ -142,6 +142,13 @@ MUTANTS = (
         "            temps[-1].write_text(text)\n",
         ("tests/test_cli.py::test_a_write_cut_by_the_file_size_limit_leaves_its_target_as_it_was",),
     ),
+    Mutant(
+        "every-track-read-at-the-default-horizon",
+        "src/solarband/cli.py",
+        "start_time=start, horizon=horizon,",
+        "start_time=start, horizon=DEFAULT_HORIZON,",
+        ("tests/test_cli.py::test_bands_reads_the_horizon_forecast_wrote",),
+    ),
 )
 
 

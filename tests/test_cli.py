@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -23,12 +24,16 @@ from solarband.forecast import DEFAULT_HORIZON, trend_forecast
 from solarband.normality import DegenerateSampleError
 from solarband.report import score, scorecard_csv
 from solarband.risk import volatility_track
-from solarband.series import DaylightMask, emit_csv, ingest_csv
+from solarband.series import MAX_GRID_MINUTES, DaylightMask, daylight_mask, emit_csv, ingest_csv
 from solarband.synth import SynthConfig, generate
 
 
 def run(*args):
     return cli.main(list(args))
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_synth_is_byte_deterministic(tmp_path):
@@ -50,8 +55,8 @@ def test_forecast_csv_round_trip(tmp_path):
     assert text.startswith(cli.FORECAST_CSV_HEADER + "\n")
     series = ingest_csv(series_csv.read_text())
     expected = trend_forecast(series, extract_trend(series, 120), 60)
-    restored = cli.read_forecast_csv(text, horizon=60)
-    assert restored.start_time == expected.start_time
+    restored = cli.read_forecast_csv(text)
+    assert restored.start_time == expected.start_time and restored.horizon == 60
     assert np.array_equal(restored.predicted, expected.predicted, equal_nan=True)
     assert np.array_equal(restored.realized, expected.realized, equal_nan=True)
 
@@ -118,7 +123,7 @@ def test_report_equals_composed_subcommands(tmp_path):
     run("bands", "--input", str(track_csv), "--output", str(band_csv))
     run("report", "--input", str(series_csv), "--output", str(outdir))
 
-    track = cli.read_forecast_csv(track_csv.read_text(), horizon=60)
+    track = cli.read_forecast_csv(track_csv.read_text())
     vol = volatility_track(track)
     mask = DaylightMask(
         start_time=track.start_time,
@@ -144,6 +149,41 @@ def test_report_is_byte_deterministic(tmp_path):
         assert run("report", "--input", str(series_csv), "--output", str(outdir)) == 0
     for name in ("scorecard.csv", "monthly.svg", "zoom.svg", "histogram.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_bands_reads_the_horizon_forecast_wrote(tmp_path):
+    """bands read every track at 60 minutes, so a 30-minute track got another band, exit 0."""
+    series_csv, track_csv, band_csv = tmp_path / "series.csv", tmp_path / "track.csv", tmp_path / "band.csv"
+    run("synth", "--output", str(series_csv), "--days", "3", "--seed", "2")
+    assert run("forecast", "--input", str(series_csv), "--output", str(track_csv), "--horizon", "30") == 0
+    assert track_csv.read_text().startswith("timestamp,predicted_30min_wm2,realized_wm2\n")
+    assert run("bands", "--input", str(track_csv), "--output", str(band_csv)) == 0
+
+    series = ingest_csv(series_csv.read_text())
+    track = trend_forecast(series, extract_trend(series, DEFAULT_WINDOW), 30)
+    band = calibrated_band(track, volatility_track(track), daylight_mask(series))
+    # compared by digest: pytest's diff of two unequal 250 kB texts takes minutes
+    assert _sha256(band_csv.read_bytes()) == _sha256(cli.write_band_csv(band).encode())
+
+
+# sha256 of a 3-day default-horizon chain (synth --days 3 --seed 2, then forecast and
+# bands with default flags), recorded before the track header named its horizon
+PINNED_CHAIN = {
+    "track.csv": "dec923c8821ec4823cee17614a4da3a198b4442ad863e7a8d4654ab93cb43453",
+    "band.csv": "823fa4bc17077fe5d276b23f8425ea202e025f338338d43a3a7b397f85a02ff3",
+    "bands.stdout": "20f35f48eac81f75a9cd6669e89573e1ec0bea785d53f1776b6c81ddce5e3fbd",
+}
+
+
+def test_default_horizon_chain_bytes_are_pinned(tmp_path, capsys):
+    series_csv, track_csv, band_csv = tmp_path / "series.csv", tmp_path / "track.csv", tmp_path / "band.csv"
+    assert run("synth", "--output", str(series_csv), "--days", "3", "--seed", "2") == 0
+    assert run("forecast", "--input", str(series_csv), "--output", str(track_csv)) == 0
+    capsys.readouterr()
+    assert run("bands", "--input", str(track_csv), "--output", str(band_csv)) == 0
+    got = {"track.csv": track_csv.read_bytes(), "band.csv": band_csv.read_bytes(),
+           "bands.stdout": capsys.readouterr().out.encode()}
+    assert {name: _sha256(data) for name, data in got.items()} == PINNED_CHAIN
 
 
 # Run in a fresh interpreter in an empty directory, pinned to one CPU if given "pin":
@@ -256,7 +296,8 @@ def test_lilliefors_table_subcommand(tmp_path):
 
 def test_exit_codes(tmp_path):
     # usage error: argparse exits 2
-    for argv in (["frobnicate"], ["normtest", "--input", "t.csv", "--horizon", "30"]):
+    for argv in (["frobnicate"], ["normtest", "--input", "t.csv", "--horizon", "30"],
+                 ["bands", "--input", "t.csv", "--output", "b.csv", "--horizon", "30"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == cli.EXIT_USAGE
@@ -306,7 +347,7 @@ def test_negative_track_value_is_data_error(tmp_path, capsys):
     header = "timestamp,predicted_wm2,realized_wm2\n"
     for row in ("2021-01-01T00:00:00Z,-5,3\n", "2021-01-01T00:00:00Z,5,-3\n"):
         with pytest.raises(cli.TrackCsvError, match="line 3: negative"):
-            cli.read_forecast_csv(header + "2020-12-31T23:59:00Z,1,1\n" + row, horizon=60)
+            cli.read_forecast_csv(header + "2020-12-31T23:59:00Z,1,1\n" + row)
         bad = tmp_path / "neg.csv"
         bad.write_text(header + row)
         assert run("bands", "--input", str(bad), "--output",
@@ -330,6 +371,17 @@ def test_out_of_range_flags_are_data_errors(tmp_path):
         assert run("normtest", "--input", str(track_csv), "--eps-day", eps_day) == cli.EXIT_DATA
         assert run("report", "--input", str(series_csv), "--output", str(tmp_path / "out"),
                    "--eps-day", eps_day) == cli.EXIT_DATA
+
+
+def test_report_with_no_defined_prediction_names_the_horizon(tmp_path, capsys):
+    """report reached the calibration's NoDefinedRecordsError, which names no flag."""
+    series_csv = tmp_path / "series.csv"
+    run("synth", "--output", str(series_csv), "--days", "1", "--seed", "9")
+    assert run("report", "--input", str(series_csv), "--output", str(tmp_path / "out"),
+               "--horizon", "3000") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "no defined prediction" in err and "--horizon 3000" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bands_and_report_calibrate_once(tmp_path, monkeypatch):
@@ -589,22 +641,21 @@ def test_a_trend_beyond_double_range_writes_nothing(tmp_path, capsys):
 
 
 def _huge_track_csv(path):
-    """A 3-day track whose predicted and realized values alternate between 1e307 and 1.7e308."""
+    """A 3-day 1-minute-horizon track whose values alternate between 1e307 and 1.7e308."""
     start = np.datetime64("2021-06-01T00:00")
     rows = [
         f"{start + np.timedelta64(k, 'm')}:00Z,{a!r},{b!r}"
         for k in range(3 * 1440)
         for a, b in [(1e307, 1.7e308) if k % 2 else (1.7e308, 1e307)]
     ]
-    path.write_text("\n".join([cli.FORECAST_CSV_HEADER, *rows]) + "\n")
+    path.write_text("\n".join(["timestamp,predicted_1min_wm2,realized_wm2", *rows]) + "\n")
 
 
 def test_bands_with_an_overflowing_frontier_writes_nothing(tmp_path, capsys):
     """2,159 upper frontiers were written as inf, with an overflow RuntimeWarning, exit 0."""
     track_csv, band_csv = tmp_path / "track.csv", tmp_path / "band.csv"
     _huge_track_csv(track_csv)
-    assert run("bands", "--input", str(track_csv), "--output", str(band_csv),
-               "--horizon", "1") == cli.EXIT_DATA
+    assert run("bands", "--input", str(track_csv), "--output", str(band_csv)) == cli.EXIT_DATA
     assert "NonFiniteBandError: upper frontier at index 2 overflows" in capsys.readouterr().err
     assert not band_csv.exists()
 
@@ -622,11 +673,11 @@ def test_bands_with_an_infinite_multiplier_is_refused_without_a_warning(tmp_path
         for k in range(4 * 1440)
         for realized in [(5e-324 if k % 2 else 1.0) if 360 <= k % 1440 < 1080 else 0.0]
     ]
-    track_csv.write_text("\n".join([cli.FORECAST_CSV_HEADER, *rows]) + "\n")
+    track_csv.write_text("\n".join(["timestamp,predicted_1min_wm2,realized_wm2", *rows]) + "\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run("bands", "--input", str(track_csv), "--output", str(band_csv),
-                   "--horizon", "1", "--eps-day", "0") == cli.EXIT_DATA
+                   "--eps-day", "0") == cli.EXIT_DATA
     assert "NonFiniteBandError: width multiplier at index 1440 is inf, not finite" in capsys.readouterr().err
     assert not band_csv.exists()
 
@@ -659,18 +710,33 @@ def test_each_subcommand_builds_one_daylight_mask(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 HOSTILE = ("0", "-1", str(2**31), str(2**63), str(10**20), "nan", "inf", "-inf", "-0.0", "5e-324")
-_CALIBRATION = ("--horizon", "--eps-day", "--target", "--window-days", "--recal-every")
+_CALIBRATION = ("--eps-day", "--target", "--window-days", "--recal-every")
 FLAGS = {
     "synth": ("--days", "--seed", "--latitude", "--day-of-year", "--peak"),
     "forecast": ("--window-w", "--horizon"),
     "bands": _CALIBRATION,
     "normtest": ("--eps-day", "--level"),
-    "report": ("--window-w", *_CALIBRATION, "--from", "--to"),
+    "report": ("--window-w", "--horizon", *_CALIBRATION, "--from", "--to"),
     "lilliefors-table": ("--seed", "--replicates"),
 }
 # No drawn replicate count may allocate: each is refused before the table is simulated.
 assert not any(1000 <= int(v) <= solarband.normality.MAX_REPLICATES
                for v in HOSTILE if v.lstrip("-").isdigit())
+
+
+# Headers that name a horizon other than the one way write_forecast_csv names it
+HOSTILE_HEADERS = {
+    "horizon_60.csv": "predicted_60min_wm2",  # the default horizon names none
+    "horizon_030.csv": "predicted_030min_wm2",  # a leading zero
+    "horizon_0.csv": "predicted_0min_wm2",
+    "horizon_x.csv": "predicted_xmin_wm2",
+    "horizon_max.csv": f"predicted_{MAX_GRID_MINUTES}min_wm2",  # longer than any grid
+    "horizon_5000_digits.csv": f"predicted_{'9' * 5000}min_wm2",  # past int()'s digit limit
+}
+
+
+def _with_header(track_text, predicted_column):
+    return track_text.replace("predicted_wm2", predicted_column, 1)
 
 
 @pytest.fixture(scope="module")
@@ -680,6 +746,8 @@ def contract_inputs(tmp_path_factory):
     series_csv, track_csv = d / "series.csv", d / "track.csv"
     assert run("synth", "--output", str(series_csv), "--days", "3", "--seed", "2") == 0
     assert run("forecast", "--input", str(series_csv), "--output", str(track_csv)) == 0
+    assert run("forecast", "--input", str(series_csv), "--output", str(d / "track_h30.csv"),
+               "--horizon", "30") == 0
     series_lines = series_csv.read_text().split("\n")
     track_lines = track_csv.read_text().split("\n")
     huge = np.zeros(3 * 1440)
@@ -694,12 +762,26 @@ def contract_inputs(tmp_path_factory):
         "one_row.csv": "\n".join(series_lines[:2]) + "\n",
         "header_only.csv": track_lines[0] + "\n",
         "empty.csv": "",
+        **{name: _with_header(track_csv.read_text(), column) for name, column in HOSTILE_HEADERS.items()},
     }
     for name, text in texts.items():
         (d / name).write_text(text)
     _huge_track_csv(d / "huge_track.csv")
     (d / "a_directory").mkdir()
-    return d, ["series.csv", "track.csv", "huge_track.csv", *texts, "a_directory", "missing.csv"]
+    return d, ["series.csv", "track.csv", "track_h30.csv", "huge_track.csv", *texts, "a_directory",
+               "missing.csv"]
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_HEADERS))
+def test_a_track_header_naming_a_hostile_horizon_is_a_data_error(contract_inputs, tmp_path, capsys, name):
+    track_csv = contract_inputs[0] / name
+    with pytest.raises(cli.TrackCsvError, match="expected header 'timestamp,predicted_wm2,realized_wm2'"):
+        cli.read_forecast_csv(track_csv.read_text())
+    for sub in ("bands", "normtest"):
+        out = tmp_path / f"{sub}.csv"
+        assert run(sub, "--input", str(track_csv), "--output", str(out)) == cli.EXIT_DATA
+        assert "TrackCsvError: expected header" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _snapshot(path):
@@ -772,6 +854,24 @@ def test_an_output_in_a_missing_directory_is_a_data_error(contract_inputs, tmp_p
     assert run(*_contract_argv(inputs, sub), f"--output={out}") == cli.EXIT_DATA
     assert "FileNotFoundError" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_output_in_a_missing_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    """report ran its whole pipeline, then exited 3 when it came to write."""
+    series_csv = tmp_path / "series.csv"
+    run("synth", "--output", str(series_csv), "--days", "2", "--seed", "12")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return extract_trend(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "extract_trend", counted)
+    out = tmp_path / "missing" / "out"
+    assert run("report", "--input", str(series_csv), "--output", str(out)) == cli.EXIT_DATA
+    assert "FileNotFoundError" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
 
 @pytest.mark.parametrize("sub, existed", [("synth", True), ("forecast", False), ("bands", True),

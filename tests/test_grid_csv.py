@@ -70,9 +70,10 @@ def test_forecast_csv_round_trip(start, data, n):
     for k in (0, -1):  # the first and last rows must exist to anchor the grid
         if np.isnan(predicted[k]) and np.isnan(realized[k]):
             realized[k] = data.draw(values)
-    track = ForecastTrack(start, 60, predicted, realized)
-    back = cli.read_forecast_csv(cli.write_forecast_csv(track), horizon=60)
-    assert back.start_time == start
+    horizon = data.draw(st.one_of(st.just(60), st.integers(1, MAX_GRID_MINUTES - 1)), label="horizon")
+    track = ForecastTrack(start, horizon, predicted, realized)
+    back = cli.read_forecast_csv(cli.write_forecast_csv(track))
+    assert back.start_time == start and back.horizon == horizon
     assert np.array_equal(bits(back.predicted), bits(track.predicted))
     assert np.array_equal(bits(back.realized), bits(track.realized))
 
@@ -148,7 +149,7 @@ def csv_with(header, cells, row_text, rows=1500):
 
 
 def read_track(text):
-    return cli.read_forecast_csv(text, horizon=60)
+    return cli.read_forecast_csv(text)
 
 
 K = ROW - 1  # grid index of the defective row when its stamp is in place
