@@ -295,9 +295,10 @@ def calibrated_band(
     band), so the calibrated band degrades to the fixed one, never worse.
     """
     events = calibration_events(forecast, vol, mask, window_days, target, recal_every)
-    alpha = np.ones(len(forecast))
-    successes = [(k, value) for k, value in events if value is not None]
-    if successes:
-        ks, values = zip(*successes)
-        alpha[ks[0]:] = np.repeat(values, np.diff(ks, append=len(forecast)))
+    ks = np.array([k for k, _ in events], dtype=np.int64)
+    values = np.array([value for _, value in events], dtype=float)  # None is NaN
+    found = ~np.isnan(values)
+    # 1 up to the first success, then each success up to the next
+    alpha = np.repeat(np.concatenate(([1.0], values[found])),
+                      np.diff(ks[found], prepend=0, append=len(forecast)))
     return _band(forecast, vol, alpha, tuple(events))

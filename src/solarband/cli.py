@@ -53,7 +53,13 @@ def _track_header(horizon: int) -> str:
 
 
 def write_forecast_csv(track: ForecastTrack) -> str:
-    """Render a forecast track; rows with neither field defined are omitted."""
+    """Render a forecast track; rows with neither field defined are omitted.
+
+    A horizon of ``MAX_GRID_MINUTES`` or more is a TrackCsvError: no header
+    :func:`read_forecast_csv` accepts names it.
+    """
+    if track.horizon >= MAX_GRID_MINUTES:
+        raise TrackCsvError(f"horizon {track.horizon} is not below MAX_GRID_MINUTES ({MAX_GRID_MINUTES})")
     keep = ~(np.isnan(track.predicted) & np.isnan(track.realized))
     return write_grid_csv(_track_header(track.horizon), track.start_time, keep,
                           track.predicted, track.realized)
@@ -230,12 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic irradiance CSV")
     p.add_argument("--output", type=Path, required=True, help="irradiance CSV to write")
-    p.add_argument("--days", type=int, default=1)
-    p.add_argument("--regime", choices=synth.REGIMES, default="broken")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--latitude", type=float, default=48.7)
-    p.add_argument("--day-of-year", type=int, default=150)
-    p.add_argument("--peak", type=float, default=1000.0, help="clear-sky peak, W/m2")
+    cfg = synth.SynthConfig()  # its field defaults are the flags'
+    p.add_argument("--days", type=int, default=cfg.days)
+    p.add_argument("--regime", choices=synth.REGIMES, default=cfg.cloud_regime)
+    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--latitude", type=float, default=cfg.latitude)
+    p.add_argument("--day-of-year", type=int, default=cfg.day_of_year)
+    p.add_argument("--peak", type=float, default=cfg.clear_sky_peak, help="clear-sky peak, W/m2")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("forecast", help="irradiance CSV -> forecast-track CSV")

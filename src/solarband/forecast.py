@@ -41,7 +41,8 @@ def trend_forecast(
 
     The prediction for time t0 + horizon is the trailing-window line at t0
     evaluated at t0 + horizon, clamped below at 0 (irradiance is physical).
-    A line that leaves double range by then raises NonFiniteTrendError.
+    A line that leaves double range by then raises NonFiniteTrendError,
+    naming the first sample whose line does.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -49,15 +50,20 @@ def trend_forecast(
     n = values.size
     check_aligned(series, decomposition)
 
-    predicted = np.full(n, np.nan)
+    predicted = np.empty(n)
+    predicted[:horizon] = np.nan
     if horizon < n:
+        out = predicted[horizon:]
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            extrapolated = decomposition.trend[:-horizon] + decomposition.slope[:-horizon] * horizon
-        if np.isinf(extrapolated).any():
+            np.multiply(decomposition.slope[:-horizon], horizon, out=out)
+            np.add(decomposition.trend[:-horizon], out, out=out)
+        bad = np.isinf(out)
+        if bad.any():
             raise NonFiniteTrendError(
-                f"a trend line extrapolated {horizon} minutes overflows double precision"
+                f"a trend line extrapolated {horizon} minutes overflows double precision, "
+                f"the first from sample {int(bad.argmax())}"
             )
-        np.clip(extrapolated, 0.0, None, out=predicted[horizon:])
+        np.clip(out, 0.0, None, out=out)
     return ForecastTrack(
         start_time=series.start_time,
         horizon=horizon,

@@ -141,16 +141,28 @@ def _powers(centered: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sorted_standardized(x: np.ndarray, mean: float | np.ndarray, std: float | np.ndarray) -> np.ndarray:
+    """``np.sort((x - mean) / std)`` per last-axis row, in one array sorted in place."""
+    z = np.subtract(x, mean)
+    z /= std
+    z.sort()
+    return z
+
+
 def _supremum_distance(z_sorted: np.ndarray) -> np.ndarray:
-    """Two-sided sup distance between the empirical CDF and the normal CDF, per last-axis row."""
+    """Two-sided sup distance between the empirical CDF and the normal CDF, per last-axis row.
+
+    ``z_sorted`` is overwritten with its normal CDF.
+    """
     n = z_sorted.shape[-1]
-    cdf = ndtr(z_sorted)
-    steps = np.arange(1.0, n + 1.0)
-    d_plus = np.max(steps / n - cdf, axis=-1)
-    d_minus = np.max(cdf - (steps - 1.0) / n, axis=-1)
-    return np.maximum(d_plus, d_minus)
+    cdf = ndtr(z_sorted, out=z_sorted)
+    gaps = np.arange(1.0, n + 1.0) / n - cdf  # (i + 1) / n - cdf
+    d_plus = np.max(gaps, axis=-1)
+    np.subtract(cdf, np.arange(0.0, n) / n, out=gaps)  # cdf - i / n
+    return np.maximum(d_plus, np.max(gaps, axis=-1))
 
 
+@functools.cache
 def asymptotic_distance_quantile(level: float) -> float:
     """Solve K(c) = 1 - level for the limiting sup-distance law by bisection.
 
@@ -205,7 +217,7 @@ def ks_normal(
     if np.var(x) == 0.0:
         raise DegenerateSampleError("degenerate sample: zero variance")
     n = x.size
-    statistic = float(_supremum_distance(np.sort((x - mean) / std)))
+    statistic = float(_supremum_distance(_sorted_standardized(x, mean, std)))
     threshold = asymptotic_distance_quantile(level) / math.sqrt(n)
     return _decide("kolmogorov_smirnov", n, statistic, threshold, level)
 
@@ -223,7 +235,7 @@ def lilliefors_statistic(x: np.ndarray) -> float | np.ndarray:
     if bad.any():
         first = float(std[bad][0])
         raise DegenerateSampleError(f"degenerate sample: std {first!r} is zero or overflows")
-    distance = _supremum_distance(np.sort((x - x.mean(axis=-1, keepdims=True)) / std))
+    distance = _supremum_distance(_sorted_standardized(x, x.mean(axis=-1, keepdims=True), std))
     return float(distance) if x.ndim == 1 else distance
 
 

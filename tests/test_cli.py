@@ -44,6 +44,15 @@ def test_synth_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_each_synth_flag_defaults_to_its_synth_config_field():
+    args = cli.build_parser().parse_args(["synth", "--output", "series.csv"])
+    flags = {"latitude": "latitude", "day_of_year": "day_of_year", "days": "days",
+             "clear_sky_peak": "peak", "cloud_regime": "regime", "seed": "seed"}
+    assert sorted(flags) == sorted(vars(SynthConfig()))
+    for field, flag in flags.items():
+        assert getattr(args, flag) == getattr(SynthConfig(), field), flag
+
+
 def test_forecast_csv_round_trip(tmp_path):
     series_csv = tmp_path / "series.csv"
     track_csv = tmp_path / "track.csv"

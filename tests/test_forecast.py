@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from conftest import START, make_series
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from solarband.decomposition import NonFiniteTrendError, extract_trend
+from solarband.decomposition import Decomposition, NonFiniteTrendError, extract_trend
 from solarband.forecast import trend_forecast
 
 
@@ -81,3 +83,50 @@ def test_an_extrapolation_beyond_double_range_is_refused():
     with pytest.raises(NonFiniteTrendError, match="extrapolated 1000 minutes"):
         trend_forecast(s, d, 1000)
     assert np.isfinite(trend_forecast(s, d, 1).predicted[2:]).all()
+
+
+def reference_trend_forecast(decomposition, horizon):
+    """The extrapolation into fresh temporaries: predicted's bytes, or the error message."""
+    n = len(decomposition)
+    predicted = np.full(n, np.nan)
+    if horizon < n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            extrapolated = decomposition.trend[:-horizon] + decomposition.slope[:-horizon] * horizon
+        bad = np.isinf(extrapolated)
+        if bad.any():
+            return (f"a trend line extrapolated {horizon} minutes overflows double precision, "
+                    f"the first from sample {int(bad.argmax())}")
+        np.clip(extrapolated, 0.0, None, out=predicted[horizon:])
+    return predicted.tobytes()
+
+
+def _lines(kind, n, seed):
+    """Trend and slope tracks: NaN of either sign where undefined, slopes of +-1e306 if huge."""
+    rng = np.random.default_rng(seed)
+    trend, slope = rng.uniform(-50.0, 1200.0, n), rng.normal(0.0, 5.0, n)
+    if kind == "huge":
+        far = rng.random(n) < 0.05
+        slope[far] = rng.choice([-1e306, 1e306], far.sum())
+    undefined = rng.random(n) < 0.2
+    trend[undefined], slope[undefined] = np.nan, -np.nan
+    trend[rng.random(n) < 0.05] = -np.nan
+    return Decomposition(START, trend, np.full(n, np.nan), slope)
+
+
+# Lines overflow from samples 70, 150 and 300; the error names the first.
+@example(n=410, horizon=10, seed=0, kind="plain", overflows=(70, 150, 300))
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 400), horizon=st.integers(1, 410), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["plain", "huge"]), overflows=st.just(()))
+def test_the_forecast_is_the_whole_array_extrapolation(n, horizon, seed, kind, overflows):
+    """Predicted's bytes, NaN payloads included, or the error naming the first overflowing line."""
+    decomposition = _lines(kind, n, seed)
+    if overflows:
+        slope = decomposition.slope.copy()
+        slope[list(overflows)] = 1.7e308
+        decomposition = Decomposition(START, decomposition.trend, decomposition.fluctuation, slope)
+    try:
+        got = trend_forecast(make_series(np.zeros(n)), decomposition, horizon).predicted.tobytes()
+    except NonFiniteTrendError as err:
+        got = str(err)
+    assert got == reference_trend_forecast(decomposition, horizon)

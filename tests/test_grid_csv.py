@@ -78,6 +78,18 @@ def test_forecast_csv_round_trip(start, data, n):
     assert np.array_equal(bits(back.realized), bits(track.realized))
 
 
+def test_the_longest_horizon_a_track_header_names_round_trips_and_the_next_is_refused():
+    """A horizon of MAX_GRID_MINUTES was written, then refused by the reader."""
+    start = datetime(2021, 3, 1, tzinfo=timezone.utc)
+    realized = np.array([1.0, 2.0, 3.0])
+    longest = ForecastTrack(start, MAX_GRID_MINUTES - 1, np.full(3, np.nan), realized)
+    text = cli.write_forecast_csv(longest)
+    assert text.startswith(f"timestamp,predicted_{MAX_GRID_MINUTES - 1}min_wm2,realized_wm2\n")
+    assert cli.read_forecast_csv(text) == longest
+    with pytest.raises(cli.TrackCsvError, match=f"^horizon {MAX_GRID_MINUTES} is not below MAX_GRID_MINUTES"):
+        cli.write_forecast_csv(ForecastTrack(start, MAX_GRID_MINUTES, np.full(3, np.nan), realized))
+
+
 # ---------------------------------------------------------------------------
 # the array writer against the row loop it replaced
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from conftest import usable_cpus
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import kolmogi
+from scipy.special import kolmogi, ndtr
 from scipy.stats import chi2, norm
 
 from solarband import normality
@@ -16,7 +16,6 @@ from solarband.normality import (
     TABLE_SIZES,
     DegenerateSampleError,
     _decide,
-    _supremum_distance,
     asymptotic_distance_quantile,
     diff_histogram,
     format_table,
@@ -194,6 +193,29 @@ def test_jarque_bera_does_not_depend_on_the_cpu_count(x, level):
         assert outcomes[0][0][2:4] == (statistic.hex(), threshold.hex())
 
 
+def reference_supremum_distance(z_sorted):
+    """The sup distance in whole-row passes, one thread: ``(i + 1) / n - cdf`` and ``cdf - i / n``."""
+    n = z_sorted.shape[-1]
+    cdf = ndtr(z_sorted)
+    steps = np.arange(1.0, n + 1.0)
+    d_plus = np.max(steps / n - cdf, axis=-1)
+    d_minus = np.max(cdf - (steps - 1.0) / n, axis=-1)
+    return np.maximum(d_plus, d_minus)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(x=_samples(), level=st.sampled_from([0.2, 0.1, 0.05, 0.01]), declared=st.booleans())
+@example(x=np.full(300, 3.0), level=0.05, declared=False)  # zero variance
+def test_the_distance_tests_match_the_whole_row_reference(x, level, declared):
+    """ks_normal and lilliefors in hex against the sup distance taken on a fresh array per pass."""
+    mean, std = (x.mean(), x.std(ddof=1)) if declared else (0.0, 1.0)
+    outcome = _outcome(lambda: [ks_normal(x, level, mean, std), lilliefors(x, level)])
+    if isinstance(outcome, list):
+        want = [reference_supremum_distance(np.sort((x - mean) / std)),
+                reference_supremum_distance(np.sort((x - x.mean()) / x.std(ddof=1)))]
+        assert [report[2] for report in outcome] == [float(w).hex() for w in want]
+
+
 @pytest.mark.parametrize("mean, std", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan),
                                        (0.0, math.inf), (0.0, 0.0), (0.0, -1.0)])
 def test_ks_rejects_a_nonfinite_or_nonpositive_reference(mean, std):
@@ -273,7 +295,7 @@ def reference_generate_table(seed, replicates, sizes):
             samples = rng.standard_normal((m, n))
             means = samples.mean(axis=1, keepdims=True)
             stds = samples.std(axis=1, ddof=1, keepdims=True)
-            stats[done : done + m] = _supremum_distance(np.sort((samples - means) / stds, axis=1))
+            stats[done : done + m] = reference_supremum_distance(np.sort((samples - means) / stds, axis=1))
             done += m
         stats.sort()
         for level in TABLE_LEVELS:
