@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import FrozenTrack, IrradianceSeries, frozen, in_shares
+from .series import FrozenTrack, IrradianceSeries, frozen, in_blocks
 
 DEFAULT_WINDOW = 120
-_ROWS = 32_768
-"""Trend windows fitted per block: 256 KB per block array, which stays in L2."""
 
 
 class NonFiniteTrendError(ValueError):
@@ -84,57 +82,44 @@ def _fit_blocks(
 ) -> None:
     """Fill ``trend`` and ``slope`` for the windows ``values[k : k + w]``, block by block.
 
-    Every slope is the in-order sum of values[k + j] * centered[j] from +0.0,
-    which whole-block passes repeat over j. Wherever the view has two or more
-    rows, that is numpy's non-BLAS ``windows @ centered`` order. A lone
-    window is summed the same way, so no bit depends on the BLAS thread
-    count. The blocks' slopes are shared out over the usable CPUs by
-    :func:`~solarband.series.in_shares`, each block whole in one thread, so
-    no bit depends on the CPU count either. ``windows.mean(axis=1)`` divides
+    Each block of windows is fitted whole by :func:`~solarband.series.in_blocks`,
+    in one thread, with whole-block numpy passes. Every slope is the in-order
+    sum of values[k + j] * centered[j] from +0.0, which the passes repeat
+    over j. Wherever the view has two or more rows, that is numpy's non-BLAS
+    ``windows @ centered`` order. A lone window is summed the same way, so no
+    bit depends on the BLAS thread count. ``windows.mean(axis=1)`` divides
     numpy's pairwise sum of the window (``_pairwise_sums``), added to +0.0,
     by w. That +0.0 is left out: a sum is -0.0 only if every term is, and
-    then the slope is +0.0 and the trend +0.0 either way. The blocks are of
-    balanced size, so none is small.
+    then the slope is +0.0 and the trend +0.0 either way. No bit depends on
+    the block size or the CPU count.
 
     Values are finite and >= 0, so a window's sum is NaN exactly when the
     window holds a gap. A non-finite trend whose window sum is a number is an
-    overflow, and any raises NonFiniteTrendError once every block is fitted,
-    counted in block order in the calling thread.
+    overflow. Each block returns its overflowing windows, and any raises
+    NonFiniteTrendError once every block is fitted, counted in block order.
     """
     w = centered.size
-    rows = slope.size
-    count = -(-rows // _ROWS)
-    edges = [rows * i // count for i in range(count + 1)]
     weights = centered.tolist()
 
-    def fit_slopes(share: int, shares: int) -> None:
-        # A block's trend slice is its product row until the fit below overwrites it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for block in range(count * share // shares, count * (share + 1) // shares):
-                a, b = edges[block], edges[block + 1]
-                buf, acc = trend[a:b], slope[a:b]
-                acc.fill(0.0)
-                for j, c in enumerate(weights):
-                    np.multiply(values[a + j : b + j], c, out=buf)
-                    acc += buf
-                acc /= sxx
-
-    in_shares(fit_slopes, count)
-    overflowed = 0
-    for a, b in zip(edges[:-1], edges[1:]):
+    def fit(a: int, b: int) -> np.ndarray:
+        # The block's trend slice holds its product row until the fit overwrites it.
+        buf, acc = trend[a:b], slope[a:b]
+        acc.fill(0.0)
+        for j, c in enumerate(weights):
+            np.multiply(values[a + j : b + j], c, out=buf)
+            acc += buf
+        acc /= sxx
         mean = _pairwise_sums(values[a : b + w - 1], w)
         mean /= w
-        buf = trend[a:b]
-        np.multiply(slope[a:b], half_span, out=buf)
-        fit = np.add(mean, buf, out=buf)
-        bad = np.flatnonzero(~np.isfinite(fit) & ~np.isnan(mean))
-        if bad.size and not overflowed:
-            first = w - 1 + a + bad[0]
-        overflowed += bad.size
-    if overflowed:
+        np.multiply(acc, half_span, out=buf)
+        bad = np.flatnonzero(~np.isfinite(np.add(mean, buf, out=buf)) & ~np.isnan(mean))
+        return a + bad
+
+    overflowed = np.concatenate(in_blocks(fit, slope.size))
+    if overflowed.size:
         raise NonFiniteTrendError(
-            f"{overflowed} gap-free trend windows overflow double precision, "
-            f"the first ending at sample {first}"
+            f"{overflowed.size} gap-free trend windows overflow double precision, "
+            f"the first ending at sample {w - 1 + overflowed[0]}"
         )
 
 

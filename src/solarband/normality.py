@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import chi2
 
-from .series import in_shares
+from .series import in_blocks
 
 DEFAULT_LEVEL = 0.05
 MIN_SAMPLES = 8
@@ -43,14 +43,6 @@ TABLE_REPLICATES = 100_000
 MAX_REPLICATES = 10**7  # 80 MB of statistics per size, allocated before any work
 TABLE_SEED = 1956127
 CURVE_POINTS = 257
-_SHARE_MIN = 65_536
-"""Fewest samples per thread of a moment's power pass.
-
-A thread costs about 0.2 ms to start and join; on 2 vCPUs two threads beat
-one from about 4,096 samples each. At 65,536 a share's power takes about
-4.5 ms, so the thread costs under 5%, and a month's daylight errors (about
-22,000) stay in one thread.
-"""
 
 
 class DegenerateSampleError(ValueError):
@@ -111,8 +103,13 @@ def jarque_bera(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
     with np.errstate(over="ignore", invalid="ignore"):
         centered = x - x.mean()
         powers = centered**2
+
+        def moment(p: int) -> float:  # each power is the same in any block; the mean is whole
+            in_blocks(lambda a, b: np.power(centered[a:b], p, out=powers[a:b]), n)
+            return float(np.mean(powers))
+
         m2 = float(np.mean(powers))
-        m3, m4 = (float(np.mean(_powers(centered, p, powers))) for p in (3, 4))
+        m3, m4 = moment(3), moment(4)
     if not np.isfinite((m2, m3, m4)).all():
         raise DegenerateSampleError("degenerate sample: its moments overflow double precision")
     if m2**2 == 0.0:  # m2 ** 1.5 and m2 ** 2 divide below
@@ -122,23 +119,6 @@ def jarque_bera(x: np.ndarray, level: float = DEFAULT_LEVEL) -> NormalityReport:
     statistic = n / 6.0 * (skewness**2 + excess_kurtosis**2 / 4.0)
     threshold = float(chi2.ppf(1.0 - level, df=2))
     return _decide("jarque_bera", n, statistic, threshold, level)
-
-
-def _powers(centered: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
-    """``centered**p`` into ``out``, in slices of at least ``_SHARE_MIN`` over the usable CPUs.
-
-    Each element's power is the same in any slice. Only the elementwise pass
-    is shared: the mean of ``out`` stays one pairwise sum.
-    """
-    n = centered.size
-
-    def power(share: int, shares: int) -> None:
-        part = slice(n * share // shares, n * (share + 1) // shares)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.power(centered[part], p, out=out[part])
-
-    in_shares(power, n // _SHARE_MIN)
-    return out
 
 
 def _sorted_standardized(x: np.ndarray, mean: float | np.ndarray, std: float | np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .series import (
     check_aligned,
     daylight_mask,  # not called here; kept because perfbench/run.py::trace_sites patches it
     eligible,
+    format_value,
 )
 
 PLOT_KINDS = ("monthly", "zoom", "histogram")
@@ -97,8 +98,9 @@ def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> Score
 
 
 def scorecard_csv(card: ScoreCard) -> str:
-    row = ",".join(repr(getattr(card, f.name)) for f in fields(ScoreCard))
-    return SCORECARD_HEADER + "\n" + row + "\n"
+    """The header and one row: each float as ``format_value`` writes it, then the count."""
+    *floats, n_scored = (getattr(card, f.name) for f in fields(ScoreCard))
+    return SCORECARD_HEADER + "\n" + ",".join([*map(format_value, floats), str(n_scored)]) + "\n"
 
 
 # ---------------------------------------------------------------------------

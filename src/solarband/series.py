@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -111,31 +111,47 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def in_shares(fn: Callable[[int, int], None], shares: int) -> None:
-    """Run ``fn(i, k)`` for every share i < k, k the smaller of ``shares`` and the usable CPUs.
+T = TypeVar("T")
+BLOCK = 32_768
+"""Most indices per block of :func:`in_blocks`: a float64 block array is 256 KB, which stays in L2."""
 
-    Share 0 runs in the calling thread, shares 1 .. k-1 in threads that end
-    with this call; numpy releases the GIL inside its loops, so the shares
-    run at once. A pool kept between calls would hang a fork child that
-    calls this after its parent did. ``np.errstate`` is per thread, so
-    ``fn`` sets its own. ``fn`` allocates no array: a worker thread's
-    allocations come from a malloc arena of its own, which raises peak RSS.
+
+def in_blocks(fn: Callable[[int, int], T], n: int) -> list[T]:
+    """``fn(a, b)`` for each block [a, b) of [0, n), the results in block order.
+
+    [0, n) is cut into the fewest blocks of at most ``BLOCK`` indices, of
+    balanced size, so none is small. The blocks are shared out in order over
+    the CPUs the process may use, each block whole in one thread: share 0
+    runs in the calling thread, the others in threads that end with this
+    call. numpy releases the GIL inside its loops, so the shares run at once.
+    A pool kept between calls would hang a fork child that calls this after
+    its parent did. ``fn`` runs under ``np.errstate(over="ignore",
+    invalid="ignore")``. An array ``fn`` allocates in a worker thread comes
+    from that thread's malloc arena, which raises peak RSS by about its size.
     """
+    count = max(1, -(-n // BLOCK))
+    edges = [n * i // count for i in range(count + 1)]
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
-    k = min(shares, cpus)
-    if k <= 1:
-        fn(0, 1)
-        return
+    shares = min(count, cpus)
+
+    def run(share: int) -> list[T]:
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread
+            return [fn(edges[i], edges[i + 1])
+                    for i in range(count * share // shares, count * (share + 1) // shares)]
+
+    if shares == 1:
+        return run(0)
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(k - 1) as pool:
-        futures = [pool.submit(fn, i, k) for i in range(1, k)]
-        fn(0, k)
+    with ThreadPoolExecutor(shares - 1) as pool:
+        futures = [pool.submit(run, share) for share in range(1, shares)]
+        results = run(0)
     for future in futures:
-        future.result()
+        results += future.result()
+    return results
 
 
 def check_aligned(*tracks: FrozenTrack) -> None:

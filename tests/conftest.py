@@ -16,7 +16,10 @@ START = datetime(2021, 3, 1, tzinfo=timezone.utc)
 
 
 def usable_cpus(cpus):
-    """Patch the CPUs this process may use, as ``series.in_shares`` reads them, to ``cpus``."""
+    """Patch the CPUs this process may use, as ``series.in_blocks`` reads them, to ``cpus``.
+
+    ``in_blocks`` shares its blocks over that many threads at most, one of them the caller.
+    """
     return mock.patch("os.sched_getaffinity", lambda pid: set(range(cpus)), create=True)
 
 

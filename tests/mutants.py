@@ -76,9 +76,24 @@ MUTANTS = (
     Mutant(
         "trend-overflow-uncounted-in-a-one-row-block",
         "src/solarband/decomposition.py",
-        "overflowed += bad.size\n",
-        "overflowed += bad.size if b - a > 1 else 0\n",
+        "        return a + bad\n",
+        "        return a + bad if b - a > 1 else bad[:0]\n",
         ("tests/test_decomposition.py::test_block_fit_is_the_whole_view_fit_bit_for_bit",),
+    ),
+    Mutant(
+        "the-first-overflow-taken-from-the-last-block",
+        "src/solarband/decomposition.py",
+        "np.concatenate(in_blocks(fit, slope.size))",
+        "np.concatenate(in_blocks(fit, slope.size)[::-1])",
+        ("tests/test_decomposition.py::test_block_fit_is_the_whole_view_fit_bit_for_bit",),
+    ),
+    Mutant(
+        "a-share-skips-its-last-block",
+        "src/solarband/series.py",
+        "range(count * share // shares, count * (share + 1) // shares)",
+        "range(count * share // shares, count * (share + 1) // shares - 1)",
+        ("tests/test_decomposition.py::test_the_fit_does_not_depend_on_the_cpu_count",
+         "tests/test_normality.py::test_jarque_bera_does_not_depend_on_the_cpu_count"),
     ),
     Mutant(
         "tracks-with-nan-compare-unequal",

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import solarband
 from solarband import cli
+from solarband import series as series_mod
 from solarband.bands import calibrated_band, calibration_events
 from solarband.decomposition import DEFAULT_WINDOW, extract_trend
 from solarband.forecast import DEFAULT_HORIZON, trend_forecast
@@ -121,6 +122,17 @@ def test_report_emits_scorecard_and_three_svgs(tmp_path):
     assert header == "rmse,mae,nrmse,coverage,mean_band_width,n_scored"
 
 
+def test_scorecard_values_below_1e_4_are_plain_decimals(tmp_path):
+    """``repr`` wrote this rmse as 2.2081109128458586e-05, where every other file writes decimals."""
+    series_csv, outdir = tmp_path / "series.csv", tmp_path / "out"
+    assert run("synth", "--output", str(series_csv), "--days", "4", "--peak", "0.0001", "--seed", "3") == 0
+    assert run("report", "--input", str(series_csv), "--output", str(outdir), "--eps-day", "0") == 0
+    header, row = (outdir / "scorecard.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert not any("e" in cell.lower() for cell in cells.values())
+    assert float(cells["rmse"]) == 2.2081109128458586e-05 and cells["n_scored"] == "3760"
+
+
 def test_report_equals_composed_subcommands(tmp_path):
     """`report` must match the composition of synth -> forecast -> bands."""
     series_csv = tmp_path / "series.csv"
@@ -175,16 +187,36 @@ def test_bands_reads_the_horizon_forecast_wrote(tmp_path):
     assert _sha256(band_csv.read_bytes()) == _sha256(cli.write_band_csv(band).encode())
 
 
-# sha256 of a 3-day default-horizon chain (synth --days 3 --seed 2, then forecast and
-# bands with default flags), recorded before the track header named its horizon
+# sha256 of a 3-day default-horizon chain (synth --days 3 --seed 2, then every subcommand
+# with default flags, and report over a 12-hour zoom too) and of a fit over several blocks;
+# the track, band and bands stdout were recorded before the track header named its horizon
 PINNED_CHAIN = {
     "track.csv": "dec923c8821ec4823cee17614a4da3a198b4442ad863e7a8d4654ab93cb43453",
     "band.csv": "823fa4bc17077fe5d276b23f8425ea202e025f338338d43a3a7b397f85a02ff3",
     "bands.stdout": "20f35f48eac81f75a9cd6669e89573e1ec0bea785d53f1776b6c81ddce5e3fbd",
+    "normtest.kolmogorov_smirnov": "a5205c5e9abd7688ccffb83f58e5c19dda326b6e9fd7ec3d4228431bde27a566",
+    "normtest.lilliefors": "9eb8d493b178536ca39e71b14db922a2b51a40ba7354564d9b35adf6a16043a7",
+    "report/histogram.svg": "ed161d009e876dff7d6f752c752f5dd1ac2d2433b0b85f99294e02ba977e2320",
+    "report/monthly.svg": "ba77ed8381e743fa76b8819c07f34c65fe62cd603e089f194bc4a8bb899d3f4e",
+    "report/scorecard.csv": "78d31a3f25264917ca53f0be5e9d2cde7b75f110b6019371529a1d50a40d11b4",
+    "report/zoom.svg": "8771400e0ec4e114b025b2d928a0c950a9d97a5a9e1d4fb994609b220ebe1323",
+    "report_zoom/histogram.svg": "ed161d009e876dff7d6f752c752f5dd1ac2d2433b0b85f99294e02ba977e2320",
+    "report_zoom/monthly.svg": "ba77ed8381e743fa76b8819c07f34c65fe62cd603e089f194bc4a8bb899d3f4e",
+    "report_zoom/scorecard.csv": "78d31a3f25264917ca53f0be5e9d2cde7b75f110b6019371529a1d50a40d11b4",
+    "report_zoom/zoom.svg": "c06a422ee65b450a9fac843810e10372742d99a32f5bbe4e962be9ec76100249",
+    "lilliefors-table.csv": "2aa83ee1bbb225e9779a179f871d1c4c13001d93796618ef7067cc5730285f08",
+    "fit.trend": "175c40e7625b4388b7f8a2e5ef218862f29bd23d47fdeed4a6d829ffc8c3c014",
+    "fit.slope": "942b7b280da049634a591a55e127af1a5ffacc774508871285bb85224a605ca1",
+    "fit.fluctuation": "5f44cd48ac8949f8517cdc0dd12596b925ba0ed6c72bd07be6046b0a718c119a",
 }
 
 
 def test_default_horizon_chain_bytes_are_pinned(tmp_path, capsys):
+    """Every artifact of a 3-day chain, and a fit over three blocks of windows and a tail.
+
+    The ``jarque_bera`` row of ``normtest`` is left out: its cube and fourth
+    power take numpy's ``power``, whose last bits follow the CPU's SIMD dispatch.
+    """
     series_csv, track_csv, band_csv = tmp_path / "series.csv", tmp_path / "track.csv", tmp_path / "band.csv"
     assert run("synth", "--output", str(series_csv), "--days", "3", "--seed", "2") == 0
     assert run("forecast", "--input", str(series_csv), "--output", str(track_csv)) == 0
@@ -192,19 +224,33 @@ def test_default_horizon_chain_bytes_are_pinned(tmp_path, capsys):
     assert run("bands", "--input", str(track_csv), "--output", str(band_csv)) == 0
     got = {"track.csv": track_csv.read_bytes(), "band.csv": band_csv.read_bytes(),
            "bands.stdout": capsys.readouterr().out.encode()}
+    assert run("normtest", "--input", str(track_csv)) == 0
+    for row in capsys.readouterr().out.splitlines()[1:]:
+        if not row.startswith("jarque_bera,"):
+            got[f"normtest.{row.split(',')[0]}"] = row.encode()
+    zoom = ("--from", "2021-05-31T06:00:00Z", "--to", "2021-05-31T18:00:00Z")
+    for out, flags in (("report", ()), ("report_zoom", zoom)):
+        assert run("report", "--input", str(series_csv), "--output", str(tmp_path / out), *flags) == 0
+        got.update({f"{out}/{path.name}": path.read_bytes() for path in (tmp_path / out).iterdir()})
+    table_csv = tmp_path / "table.csv"
+    assert run("lilliefors-table", "--output", str(table_csv), "--replicates", "1000") == 0
+    got["lilliefors-table.csv"] = table_csv.read_bytes()
+    values = np.random.default_rng(5).uniform(0.0, 1200.0, 3 * series_mod.BLOCK + 119)
+    fit = extract_trend(make_series(values), 120)
+    got.update({f"fit.{name}": getattr(fit, name).tobytes() for name in ("trend", "slope", "fluctuation")})
     assert {name: _sha256(data) for name, data in got.items()} == PINNED_CHAIN
 
 
 # Run in a fresh interpreter in an empty directory, pinned to one CPU if given "pin":
 # prints {artifact: sha256} for a lone-window fit of 100,000 seeded samples, a fit
-# of three blocks of windows, a jarque_bera over two shares of the power pass, and
+# of three blocks of windows and a tail, a jarque_bera over two blocks, and
 # every file and stdout of a 4-day chain.
 _ENVIRONMENT_CHILD = """
 import contextlib, hashlib, io, json, os, sys
 from datetime import datetime, timezone
 from pathlib import Path
 import numpy as np
-from solarband import cli, decomposition, normality
+from solarband import cli, normality, series
 from solarband.decomposition import extract_trend
 from solarband.series import IrradianceSeries
 
@@ -215,12 +261,12 @@ rng = np.random.default_rng(5)
 start = datetime(2021, 3, 1, tzinfo=timezone.utc)
 hashes = {}
 for fit_name, n, window in (("fit", 100_000, 100_000),
-                            ("blocks", 3 * decomposition._ROWS + 119, 120)):
+                            ("blocks", 3 * series.BLOCK + 119, 120)):
     values = rng.uniform(0.0, 1200.0, n)
     fit = extract_trend(IrradianceSeries(start_time=start, values=values), window)
     hashes.update({f"{fit_name}.{name}": digest(getattr(fit, name).tobytes())
                    for name in ("trend", "fluctuation", "slope")})
-sample = rng.standard_normal(2 * normality._SHARE_MIN)
+sample = rng.standard_normal(2 * series.BLOCK)
 hashes["jarque_bera"] = normality.jarque_bera(sample).statistic.hex()
 chain = [
     ("synth", "--days", "4", "--seed", "3", "--output", "series.csv"),
@@ -253,8 +299,8 @@ def _child_env(**overrides):
 def test_artifacts_do_not_depend_on_blas_threads_hash_seed_or_zone(tmp_path):
     """A lone window's slope was a BLAS dot, whose bits moved with OPENBLAS_NUM_THREADS.
 
-    The first child is also pinned to one CPU, so the fit's slopes and the
-    power pass run in one thread there and on every usable CPU in the other.
+    The first child is also pinned to one CPU, so the fit's blocks and the
+    power passes run in one thread there and on every usable CPU in the other.
     """
     runs = []
     for name, threads, hash_seed, zone, pin in (("a", "1", "0", "UTC", ["pin"]),
@@ -693,8 +739,6 @@ def test_bands_with_an_infinite_multiplier_is_refused_without_a_warning(tmp_path
 
 def test_each_subcommand_builds_one_daylight_mask(tmp_path, monkeypatch):
     """cli bound daylight_mask at import, so a patch on the series module saw none of its calls."""
-    from solarband import series as series_mod
-
     calls = []
     original = series_mod.daylight_mask
 

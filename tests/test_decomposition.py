@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from solarband import NonFiniteTrendError, decomposition
+from solarband import NonFiniteTrendError
+from solarband import series as series_mod
 from solarband.decomposition import DEFAULT_WINDOW, Decomposition, extract_trend
 from solarband.synth import SynthConfig, generate
 
@@ -296,14 +297,14 @@ def fit_or_error(fit, series, window):
 @example(129, 300, 3, "mixed", 0.01, 2)
 @example(136, 300, 4, "mixed", 0.0, 7)
 @example(517, 1, 5, "mixed", 0.0, 1)
-@example(600, 0, 6, "plain", 0.0, decomposition._ROWS)
-@example(DEFAULT_WINDOW, 4_094, 11, "mixed", 0.01, decomposition._ROWS)
-@example(DEFAULT_WINDOW, 0, 7, "synth", 0.0, decomposition._ROWS)
+@example(600, 0, 6, "plain", 0.0, series_mod.BLOCK)
+@example(DEFAULT_WINDOW, 4_094, 11, "mixed", 0.01, series_mod.BLOCK)
+@example(DEFAULT_WINDOW, 0, 7, "synth", 0.0, series_mod.BLOCK)
 @example(DEFAULT_WINDOW, 0, 8, "synth", 0.0, 7)
 @example(120, 200, 9, "huge", 0.02, 2)
 @example(8, 200, 10, "zeros", 0.0, 7)
-@example(120, 0, 12, "huge", 0.0, decomposition._ROWS)
-@example(300, 0, 13, "huge", 0.01, decomposition._ROWS)
+@example(120, 0, 12, "huge", 0.0, series_mod.BLOCK)
+@example(300, 0, 13, "huge", 0.01, series_mod.BLOCK)
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     window=st.one_of(st.integers(2, 7), st.integers(8, 128), st.integers(129, 600)),
@@ -311,7 +312,7 @@ def fit_or_error(fit, series, window):
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["plain", "mixed", "huge", "zeros"]),
     gap_rate=st.sampled_from([0.0, 0.01, 0.2]),
-    rows=st.sampled_from([1, 2, 7, decomposition._ROWS]),
+    rows=st.sampled_from([1, 2, 7, series_mod.BLOCK]),
 )
 def test_block_fit_is_the_whole_view_fit_bit_for_bit(window, extra, seed, kind, gap_rate, rows):
     """Trend, slope and fluctuation have the reference's bytes, or both raise the same error.
@@ -322,7 +323,7 @@ def test_block_fit_is_the_whole_view_fit_bit_for_bit(window, extra, seed, kind, 
     """
     series = make_series(trend_values(kind, window + extra, seed, gap_rate))
     want = fit_or_error(reference_extract_trend, series, window)
-    with mock.patch.object(decomposition, "_ROWS", rows):
+    with mock.patch.object(series_mod, "BLOCK", rows):
         got = fit_or_error(extract_trend, series, window)
     if isinstance(want, str):
         assert got == want
@@ -350,7 +351,7 @@ def test_the_fit_does_not_depend_on_the_cpu_count(window, extra, seed, kind, gap
     """Trend, slope and fluctuation bytes, NaN payloads included, or the error message."""
     series = make_series(trend_values(kind, window + extra, seed, gap_rate))
     outcomes = []
-    with mock.patch.object(decomposition, "_ROWS", rows):
+    with mock.patch.object(series_mod, "BLOCK", rows):
         for cpus in (1, 2, 3, 5):
             with usable_cpus(cpus):
                 got = fit_or_error(extract_trend, series, window)
@@ -360,7 +361,7 @@ def test_the_fit_does_not_depend_on_the_cpu_count(window, extra, seed, kind, gap
 
 
 def _fit_three_blocks():
-    series = make_series(np.random.default_rng(2).uniform(0.0, 1200.0, 3 * decomposition._ROWS))
+    series = make_series(np.random.default_rng(2).uniform(0.0, 1200.0, 3 * series_mod.BLOCK))
     extract_trend(series, DEFAULT_WINDOW)
 
 
@@ -393,4 +394,4 @@ def test_fit_peak_memory_stays_within_three_tracks_and_block_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (3 * n + 8 * decomposition._ROWS)
+    assert peak <= 8 * (3 * n + 8 * series_mod.BLOCK)

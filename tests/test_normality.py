@@ -11,6 +11,7 @@ from scipy.special import kolmogi, ndtr
 from scipy.stats import chi2, norm
 
 from solarband import normality
+from solarband import series as series_mod
 from solarband.normality import (
     TABLE_LEVELS,
     TABLE_SIZES,
@@ -181,9 +182,9 @@ def reference_jarque_bera(x, level):
 @given(x=_samples(), level=st.sampled_from([0.2, 0.1, 0.05, 0.01]))
 @example(x=np.random.default_rng(48).standard_normal(200) * 1e200, level=0.05)  # overflowing
 def test_jarque_bera_does_not_depend_on_the_cpu_count(x, level):
-    """Shares of at least 8 samples over 1, 2, 3 and 5 CPUs: the whole-array statistic in hex."""
+    """Blocks of at most 8 samples over 1, 2, 3 and 5 CPUs: the whole-array statistic in hex."""
     outcomes = []
-    with mock.patch.object(normality, "_SHARE_MIN", 8):
+    with mock.patch.object(series_mod, "BLOCK", 8):
         for cpus in (1, 2, 3, 5):
             with usable_cpus(cpus):
                 outcomes.append(_outcome(lambda: [jarque_bera(x, level)]))

@@ -1,7 +1,13 @@
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
-from conftest import START, make_series
+from conftest import START, make_series, usable_cpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from solarband import series
 from solarband.series import (
     DuplicateTimestampError,
     MalformedHeaderError,
@@ -11,6 +17,7 @@ from solarband.series import (
     SeriesCsvError,
     daylight_mask,
     emit_csv,
+    in_blocks,
     ingest_csv,
 )
 
@@ -147,3 +154,40 @@ def test_daylight_mask_excludes_gaps_and_is_monotone():
 def test_daylight_mask_rejects_negative_eps():
     with pytest.raises(ValueError):
         daylight_mask(make_series([1.0]), -0.5)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(block=st.integers(1, 9), n=st.integers(1, 50), cpus=st.sampled_from([1, 2, 3, 5]))
+def test_in_blocks_runs_each_block_once_and_returns_them_in_order(block, n, cpus):
+    """The fewest balanced blocks tile [0, n); share 0, with the first block, runs in the caller."""
+    seen = []  # list.append holds the GIL: safe from every thread
+
+    def fn(a, b):
+        seen.append((a, b, threading.get_ident(), np.geterr()["over"], np.geterr()["invalid"]))
+        return a, b
+
+    with mock.patch.object(series, "BLOCK", block), usable_cpus(cpus):
+        got = in_blocks(fn, n)
+    starts = [a for a, _ in got]
+    assert starts[0] == 0 and [b for _, b in got] == starts[1:] + [n]
+    assert sorted(call[:2] for call in seen) == got
+    sizes = [b - a for a, b in got]
+    assert len(got) == -(-n // block) and max(sizes) <= block and max(sizes) - min(sizes) <= 1
+    assert {call[:3] for call in seen if call[0] == 0} == {(0, got[0][1], threading.get_ident())}
+    assert {call[3:] for call in seen} == {("ignore", "ignore")}
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+def test_an_error_in_a_worker_thread_reaches_the_caller(cpus):
+    threads = {}
+
+    def fn(a, b):
+        threads[a] = threading.get_ident()
+        if a == 4:
+            raise ArithmeticError(f"block [{a}, {b})")
+        return a
+
+    with mock.patch.object(series, "BLOCK", 1), usable_cpus(cpus):
+        with pytest.raises(ArithmeticError, match=r"block \[4, 5\)"):
+            in_blocks(fn, 5)
+    assert sorted(threads) == [0, 1, 2, 3, 4] and threads[4] != threading.get_ident()
