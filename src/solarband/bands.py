@@ -75,10 +75,11 @@ def _band(
 
 
 def inside_band(realized: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Closed-interval membership; boundary hits count as inside.
+    """Closed-interval membership; boundary hits count as inside. NaN on any side compares false.
 
-    This is the single counting rule shared by calibration and scoring.
-    NaN on any side compares false.
+    Scoring's counting rule; :func:`calibrate_alpha` does not call it. The record
+    whose ratio |realized - predicted| / vol_pred is the alpha picked can fall
+    outside its own rounded band, so that window can count below target here.
     """
     return (lower <= realized) & (realized <= upper)
 

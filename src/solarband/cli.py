@@ -36,12 +36,10 @@ BAND_CSV_HEADER = "timestamp,lower_wm2,upper_wm2,alpha"
 NORMTEST_HEADER = "test,n,statistic,threshold,level,reject"
 
 
-class TrackCsvError(ValueError):
+class TrackCsvError(SeriesCsvError):
     """Forecast-track CSV violates the format contract."""
 
 
-# A malformed stamp is a SeriesCsvError in every minute-grid file.
-_TRACK_ERRORS = {"": TrackCsvError, "malformed timestamp": SeriesCsvError}
 # At most 7 digits and no leading zero: every horizon below MAX_GRID_MINUTES, one spelling each.
 _NAMED_HORIZON = re.compile(r"timestamp,predicted_([1-9][0-9]{0,6})min_wm2,")
 
@@ -74,7 +72,7 @@ def read_forecast_csv(text: str) -> ForecastTrack:
     named = _NAMED_HORIZON.match(text)
     horizon = int(named[1]) if named else DEFAULT_HORIZON
     header = _track_header(horizon if horizon < MAX_GRID_MINUTES else DEFAULT_HORIZON)
-    start, (predicted, realized) = read_grid_csv(text, header, _TRACK_ERRORS, empty_is_gap=True)
+    start, (predicted, realized) = read_grid_csv(text, header, TrackCsvError, empty_is_gap=True)
     return ForecastTrack(start_time=start, horizon=horizon, predicted=predicted, realized=realized)
 
 

@@ -64,8 +64,9 @@ SCORECARD_HEADER = ",".join(f.name for f in fields(ScoreCard))
 def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> ScoreCard:
     """Score a forecast and its band over daylight-eligible, fully defined records.
 
-    Coverage counts boundary hits as inside (the same counting rule the
-    calibration uses). nRMSE is RMSE over the mean realized value of the
+    Coverage counts boundary hits as inside (:func:`bands.inside_band`, not
+    the calibration's ratio rule, so it can fall below the target over a
+    calibration window). nRMSE is RMSE over the mean realized value of the
     scored records. A value beyond double range, such as the RMSE of errors
     past about 1e154, raises NonFiniteScoreError.
     """

@@ -26,30 +26,11 @@ CSV_HEADER = "timestamp,ghi_wm2"
 STAMP_LEN = 20  # YYYY-MM-DDTHH:MM:SSZ
 MAX_GRID_MINUTES = 5 * 366 * MINUTES_PER_DAY
 """Longest grid a CSV may span (five leap years); a longer span is a format error."""
+LAST_MINUTE = datetime(9999, 12, 31, 23, 59, tzinfo=timezone.utc)  # the last a stamp names
 
 
 class SeriesCsvError(ValueError):
-    """Irradiance CSV violates the format contract."""
-
-
-class MalformedHeaderError(SeriesCsvError):
-    """Header line is not exactly ``timestamp,ghi_wm2``."""
-
-
-class NonMonotoneTimestampError(SeriesCsvError):
-    """A row's timestamp precedes an earlier row's timestamp."""
-
-
-class DuplicateTimestampError(SeriesCsvError):
-    """Two rows share the same timestamp."""
-
-
-class NegativeIrradianceError(SeriesCsvError):
-    """A row carries a negative irradiance value."""
-
-
-class MisalignedTimestampError(SeriesCsvError):
-    """A row's timestamp is not aligned to a whole minute."""
+    """A minute-grid CSV or timestamp violates the format contract."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +38,12 @@ class FrozenTrack:
     """Frozen dataclass base: a track on the UTC minute grid from ``start_time``.
 
     ``start_time`` must be timezone-aware UTC with minute precision, so every
-    track sits on one absolute grid whatever the machine's zone. The
-    ``_arrays`` fields are read-only arrays of one length, ``len()``. Each is
-    a copy, which leaves the caller's array writable, unless it is already a
-    read-only array of the field's dtype that owns its memory: a producer
-    hands the arrays it made over uncopied through :func:`frozen`.
+    track sits on one absolute grid whatever the machine's zone, and a track
+    ends by ``LAST_MINUTE``. The ``_arrays`` fields are read-only arrays of one
+    length, ``len()``. Each is a copy, which leaves the caller's array
+    writable, unless it is already a read-only array of the field's dtype that
+    owns its memory: a producer hands the arrays it made over uncopied through
+    :func:`frozen`.
 
     Tracks compare by value: same type and every field equal, NaN equal to
     NaN. A track is unhashable.
@@ -85,6 +67,8 @@ class FrozenTrack:
             object.__setattr__(self, name, arr)
         if len({getattr(self, name).size for name in self._arrays}) > 1:
             raise ValueError(f"{type(self).__name__} fields {self._arrays} must have equal length")
+        if len(self) - 1 > (LAST_MINUTE - self.start_time) // CADENCE:
+            raise ValueError(f"{type(self).__name__} runs past {LAST_MINUTE:%Y-%m-%dT%H:%M:%SZ}")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -305,15 +289,15 @@ def _floats(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarra
 
 
 def read_grid_csv(
-    text: str, header: str, errors: dict[str, type[ValueError]], empty_is_gap: bool = False
+    text: str, header: str, error: type[SeriesCsvError], empty_is_gap: bool = False
 ) -> tuple[datetime, list[np.ndarray]]:
     """Parse a minute-grid CSV: its start time and one gap-filled array per value column.
 
     Rows hold an exact ``YYYY-MM-DDTHH:MM:SSZ`` stamp on a whole minute, later
     than the row before and within ``MAX_GRID_MINUTES`` of the first, then
     cells parsed as ``float`` parses them; an empty cell is NaN if
-    ``empty_is_gap``. Missing minutes become NaN. The first defective row
-    raises ``errors[defect]`` (default ``errors[""]``) naming its line; within
+    ``empty_is_gap``. Missing minutes become NaN. Every defect raises
+    ``error``; the first defective row names its line and defect, and within
     a row the first failed check below wins.
     """
     # One byte per character: a non-ASCII character, or a NUL that an S array
@@ -322,12 +306,12 @@ def read_grid_csv(
     raw += b"" if raw.endswith(b"\n") else b"\n"
     head = header.encode() + b"\n"
     if not raw.startswith(head):
-        raise errors.get("header", errors[""])(f"expected header {header!r}")
+        raise error(f"expected header {header!r}")
     ncols = header.count(",")
     buf = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))[1:]
     if ends.size == 0:
-        raise errors[""]("no data rows")
+        raise error("no data rows")
     starts = np.concatenate(([len(head)], ends[:-1] + 1))
     commas = np.flatnonzero(buf == ord(","))[ncols:]
     n, defect = ends.size, None  # each check sees the rows before the first defect so far
@@ -369,21 +353,11 @@ def read_grid_csv(
     check("grid longer than MAX_GRID_MINUTES", minute - minute[:1] >= MAX_GRID_MINUTES)
     if defect is not None:
         line = text[starts[n] : ends[n]]
-        raise errors.get(defect, errors[""])(f"line {n + 2}: {defect}: {line!r}")
+        raise error(f"line {n + 2}: {defect}: {line!r}")
     offset = minute - minute[0]
     grid = np.full((ncols, int(offset[-1]) + 1), np.nan)
     grid[:, offset] = values.T
     return _EPOCH + timedelta(minutes=int(minute[0])), list(grid)
-
-
-_SERIES_ERRORS = {
-    "": SeriesCsvError,
-    "header": MalformedHeaderError,
-    "timestamp not minute-aligned": MisalignedTimestampError,
-    "negative value": NegativeIrradianceError,
-    "duplicate timestamp": DuplicateTimestampError,
-    "timestamp out of order": NonMonotoneTimestampError,
-}
 
 
 def ingest_csv(text: str) -> IrradianceSeries:
@@ -392,7 +366,7 @@ def ingest_csv(text: str) -> IrradianceSeries:
     Missing minutes between the first and last row become gaps. Values are
     taken verbatim (bit-exact); nothing is interpolated.
     """
-    start, (values,) = read_grid_csv(text, CSV_HEADER, _SERIES_ERRORS)
+    start, (values,) = read_grid_csv(text, CSV_HEADER, SeriesCsvError)
     return IrradianceSeries(start_time=start, values=values)
 
 

@@ -133,6 +133,20 @@ MUTANTS = (
         ("tests/test_grid_csv.py::test_first_defect_names_its_line",),
     ),
     Mutant(
+        "a-track-defect-raised-as-the-series-error",
+        "src/solarband/cli.py",
+        "read_grid_csv(text, header, TrackCsvError,",
+        "read_grid_csv(text, header, SeriesCsvError,",
+        ("tests/test_grid_csv.py::test_first_defect_names_its_line",),
+    ),
+    Mutant(
+        "a-grid-ending-on-the-last-stamp-minute-refused",
+        "src/solarband/series.py",
+        "len(self) - 1 > (LAST_MINUTE - self.start_time) // CADENCE",
+        "len(self) - 1 >= (LAST_MINUTE - self.start_time) // CADENCE",
+        ("tests/test_grid_csv.py::test_a_track_ends_by_the_last_minute_a_stamp_names",),
+    ),
+    Mutant(
         "one-polyline-drawn-across-a-gap",
         "src/solarband/report.py",
         "zip(edges[::2], edges[1::2])",

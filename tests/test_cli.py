@@ -211,14 +211,13 @@ PINNED_CHAIN = {
 }
 
 
-def test_default_horizon_chain_bytes_are_pinned(tmp_path, capsys):
-    """Every artifact of a 3-day chain, and a fit over three blocks of windows and a tail.
+def _chain(tmp_path, capsys, series_csv):
+    """The track, band, bands stdout, normtest rows and report with and without a 12-hour zoom.
 
     The ``jarque_bera`` row of ``normtest`` is left out: its cube and fourth
     power take numpy's ``power``, whose last bits follow the CPU's SIMD dispatch.
     """
-    series_csv, track_csv, band_csv = tmp_path / "series.csv", tmp_path / "track.csv", tmp_path / "band.csv"
-    assert run("synth", "--output", str(series_csv), "--days", "3", "--seed", "2") == 0
+    track_csv, band_csv = tmp_path / "track.csv", tmp_path / "band.csv"
     assert run("forecast", "--input", str(series_csv), "--output", str(track_csv)) == 0
     capsys.readouterr()
     assert run("bands", "--input", str(track_csv), "--output", str(band_csv)) == 0
@@ -232,6 +231,14 @@ def test_default_horizon_chain_bytes_are_pinned(tmp_path, capsys):
     for out, flags in (("report", ()), ("report_zoom", zoom)):
         assert run("report", "--input", str(series_csv), "--output", str(tmp_path / out), *flags) == 0
         got.update({f"{out}/{path.name}": path.read_bytes() for path in (tmp_path / out).iterdir()})
+    return got
+
+
+def test_default_horizon_chain_bytes_are_pinned(tmp_path, capsys):
+    """Every artifact of a 3-day chain, and a fit over three blocks of windows and a tail."""
+    series_csv = tmp_path / "series.csv"
+    assert run("synth", "--output", str(series_csv), "--days", "3", "--seed", "2") == 0
+    got = _chain(tmp_path, capsys, series_csv)
     table_csv = tmp_path / "table.csv"
     assert run("lilliefors-table", "--output", str(table_csv), "--replicates", "1000") == 0
     got["lilliefors-table.csv"] = table_csv.read_bytes()
@@ -239,6 +246,39 @@ def test_default_horizon_chain_bytes_are_pinned(tmp_path, capsys):
     fit = extract_trend(make_series(values), 120)
     got.update({f"fit.{name}": getattr(fit, name).tobytes() for name in ("trend", "slope", "fluctuation")})
     assert {name: _sha256(data) for name, data in got.items()} == PINNED_CHAIN
+
+
+# sha256 of the same chain over the 3-day series with the data rows [a, b) dropped (a 6-hour
+# outage among them), 3,902 of 4,320 kept: its 1,893 daylight errors fall between two
+# Lilliefors table sizes, so the lilliefors row pins the table's interpolation
+GAPPY_DROPS = ((400, 407), (1500, 1860), (2400, 2430), (3100, 3103), (3900, 3918))
+PINNED_GAPPY_CHAIN = {
+    "track.csv": "816a521870ac2b2d8b2290c756f46a8bb02b36eae2ec4c9d41fd85a5e444f260",
+    "band.csv": "03c6f384706e63b18c4d957d1e13341e010d5c0fa5fe45ecb79ac39e48f11462",
+    "bands.stdout": "8deb629964698c5f7a1e51b52d5b504e19a04be4a8badf330529353a0493da03",
+    "normtest.kolmogorov_smirnov": "8b61b823c094c54b01b07cfdd7b2c288f2e3e6c23a640e6c0894d3b00bc54891",
+    "normtest.lilliefors": "3bd28f7f87cb1bcaae12fb361a01f255ba598b50be691cd8c25f140ae496e0c6",
+    "report/histogram.svg": "76b8cea76b253ce91e60edaa00f955f8daf750d57fd4a97d6bea92052e1256c3",
+    "report/monthly.svg": "7986c7c9c5432c1bbe96009d7057e3600d2fbe3c67ddea6be62f42410306c50b",
+    "report/scorecard.csv": "8bd81ef2b0c3932c761cfd768a848719bd80f408d2c1e0b493e429233e72ee61",
+    "report/zoom.svg": "75793ae102cec86f7ad49e5e2e0866be7aa1f1438dcacc59846b48ee3069bf31",
+    "report_zoom/histogram.svg": "76b8cea76b253ce91e60edaa00f955f8daf750d57fd4a97d6bea92052e1256c3",
+    "report_zoom/monthly.svg": "7986c7c9c5432c1bbe96009d7057e3600d2fbe3c67ddea6be62f42410306c50b",
+    "report_zoom/scorecard.csv": "8bd81ef2b0c3932c761cfd768a848719bd80f408d2c1e0b493e429233e72ee61",
+    "report_zoom/zoom.svg": "00050d6037dcbae3010f03a548ace31f5d7d7ef3add315d80395228d2ee9b53e",
+}
+
+
+def test_gappy_chain_bytes_are_pinned(tmp_path, capsys):
+    series_csv = tmp_path / "series.csv"
+    assert run("synth", "--output", str(series_csv), "--days", "3", "--seed", "2") == 0
+    header, *rows = series_csv.read_text().splitlines()
+    for a, b in reversed(GAPPY_DROPS):
+        del rows[a:b]
+    assert len(rows) == 3902
+    series_csv.write_text("\n".join([header, *rows]) + "\n")
+    got = _chain(tmp_path, capsys, series_csv)
+    assert {name: _sha256(data) for name, data in got.items()} == PINNED_GAPPY_CHAIN
 
 
 # Run in a fresh interpreter in an empty directory, pinned to one CPU if given "pin":

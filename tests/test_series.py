@@ -8,18 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solarband import series
-from solarband.series import (
-    DuplicateTimestampError,
-    MalformedHeaderError,
-    MisalignedTimestampError,
-    NegativeIrradianceError,
-    NonMonotoneTimestampError,
-    SeriesCsvError,
-    daylight_mask,
-    emit_csv,
-    in_blocks,
-    ingest_csv,
-)
+from solarband.series import SeriesCsvError, daylight_mask, emit_csv, in_blocks, ingest_csv
 
 HEADER = "timestamp,ghi_wm2"
 
@@ -47,20 +36,20 @@ def test_ingest_fills_missing_minute_with_gap():
 
 
 def test_ingest_named_errors():
-    with pytest.raises(NegativeIrradianceError):
-        ingest_csv(f"{HEADER}\n2021-03-01T00:00:00Z,-5\n")
-    with pytest.raises(MalformedHeaderError):
-        ingest_csv("time,ghi\n2021-03-01T00:00:00Z,1\n")
-    with pytest.raises(DuplicateTimestampError):
-        ingest_csv(f"{HEADER}\n2021-03-01T00:00:00Z,1\n2021-03-01T00:00:00Z,2\n")
-    with pytest.raises(NonMonotoneTimestampError):
-        ingest_csv(f"{HEADER}\n2021-03-01T00:01:00Z,1\n2021-03-01T00:00:00Z,2\n")
-    with pytest.raises(MisalignedTimestampError):
-        ingest_csv(f"{HEADER}\n2021-03-01T00:00:30Z,1\n")
-    with pytest.raises(SeriesCsvError):
-        ingest_csv(f"{HEADER}\n")  # no data rows
-    with pytest.raises(SeriesCsvError):
-        ingest_csv(f"{HEADER}\n2021-03-01T00:00:00Z,nan\n")
+    """Each defect is a SeriesCsvError whose message names its line and the defect."""
+    cases = [
+        (f"{HEADER}\n2021-03-01T00:00:00Z,-5\n", "^line 2: negative value: "),
+        ("time,ghi\n2021-03-01T00:00:00Z,1\n", "^expected header 'timestamp,ghi_wm2'$"),
+        (f"{HEADER}\n2021-03-01T00:00:00Z,1\n2021-03-01T00:00:00Z,2\n", "^line 3: duplicate timestamp: "),
+        (f"{HEADER}\n2021-03-01T00:01:00Z,1\n2021-03-01T00:00:00Z,2\n", "^line 3: timestamp out of order: "),
+        (f"{HEADER}\n2021-03-01T00:00:30Z,1\n", "^line 2: timestamp not minute-aligned: "),
+        (f"{HEADER}\n", "^no data rows$"),
+        (f"{HEADER}\n2021-03-01T00:00:00Z,nan\n", "^line 2: non-finite value: "),
+    ]
+    for text, message in cases:
+        with pytest.raises(SeriesCsvError, match=message) as exc:
+            ingest_csv(text)
+        assert type(exc.value) is SeriesCsvError
 
 
 def test_round_trip_gap_free():
