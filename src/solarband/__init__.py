@@ -9,7 +9,6 @@ empirical coverage.
 
 from .bands import (
     BandTrack,
-    NonFiniteBandError,
     UncalibratableWindowError,
     calibrate_alpha,
     calibrated_band,
@@ -17,7 +16,7 @@ from .bands import (
     fixed_band,
     inside_band,
 )
-from .decomposition import Decomposition, NonFiniteTrendError, extract_trend
+from .decomposition import Decomposition, extract_trend
 from .forecast import ForecastTrack, trend_forecast
 from .normality import (
     DegenerateSampleError,
@@ -29,18 +28,13 @@ from .normality import (
     lilliefors,
     normtests,
 )
-from .report import (
-    EmptyRangeError,
-    NonFiniteScoreError,
-    NoScorableRecordsError,
-    ScoreCard,
-    emit_plot,
-    score,
-)
-from .risk import NoDefinedRecordsError, VolatilityTrack, volatility_track
+from .report import EmptyRangeError, ScoreCard, emit_plot, score
+from .risk import VolatilityTrack, volatility_track
 from .series import (
     DaylightMask,
     IrradianceSeries,
+    NonFiniteError,
+    NoRecordsError,
     SeriesCsvError,
     daylight_mask,
     emit_csv,
@@ -59,12 +53,9 @@ __all__ = [
     "ForecastTrack",
     "Histogram",
     "IrradianceSeries",
-    "NoDefinedRecordsError",
+    "NoRecordsError",
+    "NonFiniteError",
     "NormalityReport",
-    "NoScorableRecordsError",
-    "NonFiniteBandError",
-    "NonFiniteScoreError",
-    "NonFiniteTrendError",
     "ScoreCard",
     "SeriesCsvError",
     "SynthConfig",

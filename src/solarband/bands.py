@@ -15,7 +15,8 @@ import numpy as np
 
 from .forecast import ForecastTrack
 from .risk import VolatilityTrack
-from .series import MINUTES_PER_DAY, DaylightMask, FrozenTrack, check_aligned, eligible, frozen
+from .series import (MINUTES_PER_DAY, DaylightMask, FrozenTrack, NonFiniteError, check_aligned,
+                     eligible, frozen)
 
 DEFAULT_TARGET = 0.68
 DEFAULT_WINDOW_DAYS = 3
@@ -24,10 +25,6 @@ DEFAULT_RECAL_MINUTES = MINUTES_PER_DAY
 
 class UncalibratableWindowError(ValueError):
     """No eligible record in the calibration window."""
-
-
-class NonFiniteBandError(ValueError):
-    """A band's width multiplier is not finite, or a frontier overflows double precision."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +58,7 @@ def _band(
     """
     if not np.isfinite(alpha).all():  # a calibration ratio past double range; inf * 0 is NaN
         first = int(np.isfinite(alpha).argmin())
-        raise NonFiniteBandError(f"width multiplier at index {first} is {float(alpha[first])!r}, not finite")
+        raise NonFiniteError(f"width multiplier at index {first} is {float(alpha[first])!r}, not finite")
     predicted = forecast.predicted
     with np.errstate(over="ignore"):  # an infinite upper frontier is refused; lower is clamped
         halfwidth = alpha * vol.vol_pred
@@ -69,7 +66,7 @@ def _band(
         upper = np.add(predicted, halfwidth, out=halfwidth)
     bad = np.isinf(upper)
     if bad.any():
-        raise NonFiniteBandError(f"upper frontier at index {int(bad.argmax())} overflows double precision")
+        raise NonFiniteError(f"upper frontier at index {int(bad.argmax())} overflows double precision")
     np.clip(lower, 0.0, None, out=lower)
     return BandTrack(forecast.start_time, frozen(lower), frozen(upper), frozen(alpha), events)
 

@@ -23,7 +23,7 @@ from . import series as series_mod
 from .decomposition import DEFAULT_WINDOW, extract_trend
 from .forecast import DEFAULT_HORIZON, ForecastTrack, trend_forecast
 from .series import (DEFAULT_EPS_DAY, MAX_GRID_MINUTES, DaylightMask, IrradianceSeries,
-                     SeriesCsvError, _stamps, emit_csv, format_value, ingest_csv,
+                     NoRecordsError, SeriesCsvError, _stamps, emit_csv, format_value, ingest_csv,
                      parse_timestamp, read_grid_csv, write_grid_csv)
 
 EXIT_OK = 0
@@ -114,8 +114,8 @@ def _cmd_synth(args: argparse.Namespace) -> Texts:
 def _forecast(series: IrradianceSeries, args: argparse.Namespace) -> ForecastTrack:
     track = trend_forecast(series, extract_trend(series, args.window_w), args.horizon)
     if np.isnan(track.predicted).all():
-        raise ValueError(f"no defined prediction: each needs a gap-free --window-w {args.window_w} "
-                         f"trend window ending --horizon {args.horizon} minutes earlier")
+        raise NoRecordsError(f"no defined prediction: each needs a gap-free --window-w {args.window_w} "
+                             f"trend window ending --horizon {args.horizon} minutes earlier")
     return track
 
 

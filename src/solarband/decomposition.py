@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import FrozenTrack, IrradianceSeries, frozen, in_blocks
+from .series import FrozenTrack, IrradianceSeries, NonFiniteError, frozen, in_blocks
 
 DEFAULT_WINDOW = 120
-
-
-class NonFiniteTrendError(ValueError):
-    """A gap-free trend window's fit leaves double range."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +38,7 @@ def extract_trend(series: IrradianceSeries, window: int = DEFAULT_WINDOW) -> Dec
     The fit is causal: the window at index k covers samples k-window+1 .. k,
     so later samples never influence earlier trend values. Windows touching
     a gap are undefined rather than partially fitted. A gap-free window whose
-    fit overflows (values past about 1e306) raises NonFiniteTrendError.
+    fit overflows (values past about 1e306) raises NonFiniteError.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
@@ -96,7 +92,7 @@ def _fit_blocks(
     Values are finite and >= 0, so a window's sum is NaN exactly when the
     window holds a gap. A non-finite trend whose window sum is a number is an
     overflow. Each block returns its overflowing windows, and any raises
-    NonFiniteTrendError once every block is fitted, counted in block order.
+    NonFiniteError once every block is fitted, counted in block order.
     """
     w = centered.size
     weights = centered.tolist()
@@ -117,7 +113,7 @@ def _fit_blocks(
 
     overflowed = np.concatenate(in_blocks(fit, slope.size))
     if overflowed.size:
-        raise NonFiniteTrendError(
+        raise NonFiniteError(
             f"{overflowed.size} gap-free trend windows overflow double precision, "
             f"the first ending at sample {w - 1 + overflowed[0]}"
         )

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Decomposition, NonFiniteTrendError
-from .series import FrozenTrack, IrradianceSeries, check_aligned, frozen
+from .decomposition import Decomposition
+from .series import FrozenTrack, IrradianceSeries, NonFiniteError, check_aligned, frozen
 
 DEFAULT_HORIZON = 60
 
@@ -41,7 +41,7 @@ def trend_forecast(
 
     The prediction for time t0 + horizon is the trailing-window line at t0
     evaluated at t0 + horizon, clamped below at 0 (irradiance is physical).
-    A line that leaves double range by then raises NonFiniteTrendError,
+    A line that leaves double range by then raises NonFiniteError,
     naming the first sample whose line does.
     """
     if horizon < 1:
@@ -59,7 +59,7 @@ def trend_forecast(
             np.add(decomposition.trend[:-horizon], out, out=out)
         bad = np.isinf(out)
         if bad.any():
-            raise NonFiniteTrendError(
+            raise NonFiniteError(
                 f"a trend line extrapolated {horizon} minutes overflows double precision, "
                 f"the first from sample {int(bad.argmax())}"
             )

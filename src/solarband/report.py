@@ -21,6 +21,8 @@ from .series import (
     MINUTES_PER_DAY,
     DaylightMask,
     IrradianceSeries,
+    NonFiniteError,
+    NoRecordsError,
     check_aligned,
     daylight_mask,  # not called here; kept because perfbench/run.py::trace_sites patches it
     eligible,
@@ -32,14 +34,6 @@ HISTOGRAM_BINS = 60
 
 _WIDTH, _HEIGHT = 960, 480
 _ML, _MR, _MT, _MB = 62, 16, 28, 44
-
-
-class NoScorableRecordsError(ValueError):
-    """No record is daylight-eligible with all fields defined."""
-
-
-class NonFiniteScoreError(ValueError):
-    """A scorecard value overflows double precision."""
 
 
 class EmptyRangeError(ValueError):
@@ -68,7 +62,7 @@ def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> Score
     the calibration's ratio rule, so it can fall below the target over a
     calibration window). nRMSE is RMSE over the mean realized value of the
     scored records. A value beyond double range, such as the RMSE of errors
-    past about 1e154, raises NonFiniteScoreError.
+    past about 1e154, raises NonFiniteError. No eligible record raises NoRecordsError.
     """
     check_aligned(forecast, band, mask)
     realized = forecast.realized
@@ -76,7 +70,7 @@ def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> Score
     keep = eligible(mask.flags, realized, predicted, band.lower, band.upper)
     n = int(keep.sum())
     if n == 0:
-        raise NoScorableRecordsError("no eligible records to score")
+        raise NoRecordsError("no eligible records to score")
 
     # Values past double range come out as inf or NaN, refused below by name.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -94,7 +88,7 @@ def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> Score
         )
     bad = [f.name for f in fields(card) if not math.isfinite(getattr(card, f.name))]
     if bad:
-        raise NonFiniteScoreError(f"{', '.join(bad)} overflow double precision")
+        raise NonFiniteError(f"{', '.join(bad)} overflow double precision")
     return card
 
 
@@ -291,7 +285,7 @@ def emit_plot(
             raise ValueError("histogram kind needs a forecast track and a daylight mask")
         sample = daylight_errors(forecast, mask)
         if sample.size == 0:
-            raise EmptyRangeError("no daylight forecast errors to bin")
+            raise NoRecordsError("no daylight forecast errors to bin")
         hist = diff_histogram(sample, HISTOGRAM_BINS)
         return render_histogram_svg(hist, "forecast error distribution")
     if kind == "zoom":

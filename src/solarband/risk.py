@@ -7,11 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forecast import ForecastTrack
-from .series import DaylightMask, FrozenTrack, check_aligned, eligible, frozen
-
-
-class NoDefinedRecordsError(ValueError):
-    """The forecast track has no record with both sides defined."""
+from .series import DaylightMask, FrozenTrack, NoRecordsError, check_aligned, eligible, frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +34,7 @@ def volatility_track(track: ForecastTrack) -> VolatilityTrack:
     """
     diff = track.realized - track.predicted
     if np.isnan(diff).all():
-        raise NoDefinedRecordsError("forecast track has no defined records")
+        raise NoRecordsError("forecast track has no defined records")
     vol = np.abs(diff)
     vol_pred = np.full(diff.size, np.nan)
     if track.horizon < diff.size:

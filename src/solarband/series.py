@@ -33,6 +33,14 @@ class SeriesCsvError(ValueError):
     """A minute-grid CSV or timestamp violates the format contract."""
 
 
+class NonFiniteError(ValueError):
+    """A value a stage computes leaves double range."""
+
+
+class NoRecordsError(ValueError):
+    """A stage has no defined record to work on."""
+
+
 @dataclass(frozen=True, eq=False)
 class FrozenTrack:
     """Frozen dataclass base: a track on the UTC minute grid from ``start_time``.
@@ -291,7 +299,7 @@ def _floats(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarra
 def read_grid_csv(
     text: str, header: str, error: type[SeriesCsvError], empty_is_gap: bool = False
 ) -> tuple[datetime, list[np.ndarray]]:
-    """Parse a minute-grid CSV: its start time and one gap-filled array per value column.
+    """Parse a minute-grid CSV: its start time and a new, read-only, gap-filled array per value column.
 
     Rows hold an exact ``YYYY-MM-DDTHH:MM:SSZ`` stamp on a whole minute, later
     than the row before and within ``MAX_GRID_MINUTES`` of the first, then
@@ -355,9 +363,10 @@ def read_grid_csv(
         line = text[starts[n] : ends[n]]
         raise error(f"line {n + 2}: {defect}: {line!r}")
     offset = minute - minute[0]
-    grid = np.full((ncols, int(offset[-1]) + 1), np.nan)
-    grid[:, offset] = values.T
-    return _EPOCH + timedelta(minutes=int(minute[0])), list(grid)
+    columns = [np.full(int(offset[-1]) + 1, np.nan) for _ in range(ncols)]
+    for column, cells in zip(columns, values.T):
+        column[offset] = cells
+    return _EPOCH + timedelta(minutes=int(minute[0])), list(map(frozen, columns))
 
 
 def ingest_csv(text: str) -> IrradianceSeries:

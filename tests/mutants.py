@@ -178,6 +178,13 @@ MUTANTS = (
         "start_time=start, horizon=DEFAULT_HORIZON,",
         ("tests/test_cli.py::test_bands_reads_the_horizon_forecast_wrote",),
     ),
+    Mutant(
+        "no-defined-prediction-raised-as-a-bare-value-error",
+        "src/solarband/cli.py",
+        'raise NoRecordsError(f"no defined prediction:',
+        'raise ValueError(f"no defined prediction:',
+        ("tests/test_cli.py::test_each_failure_kind_names_one_class",),
+    ),
 )
 
 

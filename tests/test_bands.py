@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from solarband import bands
 from solarband.bands import (
-    NonFiniteBandError,
     UncalibratableWindowError,
     calibrate_alpha,
     calibrated_band,
@@ -20,7 +19,7 @@ from solarband.bands import (
 )
 from solarband.forecast import ForecastTrack
 from solarband.risk import VolatilityTrack
-from solarband.series import DaylightMask
+from solarband.series import DaylightMask, NonFiniteError
 
 
 def tracks_from_ratios(ratios, horizon=60, vol_pred_scale=1.0):
@@ -82,7 +81,7 @@ def test_an_upper_frontier_beyond_double_range_is_refused_by_index():
     nan = np.full(3, np.nan)
     f = ForecastTrack(START, 60, predicted, nan)
     v = VolatilityTrack(START, 60, nan, nan, np.array([1.0, 1.7e308, 1.7e308]))
-    with pytest.raises(NonFiniteBandError, match="^upper frontier at index 2 overflows"):
+    with pytest.raises(NonFiniteError, match="^upper frontier at index 2 overflows"):
         fixed_band(f, v)
     # a lower frontier below -1.8e308 is clamped at 0 like any negative one
     band = fixed_band(ForecastTrack(START, 60, predicted[:2], nan[:2]),

@@ -469,7 +469,7 @@ def test_out_of_range_flags_are_data_errors(tmp_path):
 
 
 def test_report_with_no_defined_prediction_names_the_horizon(tmp_path, capsys):
-    """report reached the calibration's NoDefinedRecordsError, which names no flag."""
+    """report reached the calibration's "forecast track has no defined records", which names no flag."""
     series_csv = tmp_path / "series.csv"
     run("synth", "--output", str(series_csv), "--days", "1", "--seed", "9")
     assert run("report", "--input", str(series_csv), "--output", str(tmp_path / "out"),
@@ -701,37 +701,38 @@ def test_report_error_spread_beyond_double_range_writes_nothing(tmp_path, capsys
     assert not outdir.exists()
 
 
-def test_report_scores_beyond_double_range_write_nothing(tmp_path, capsys):
-    """The scorecard's rmse and nrmse were inf, with an overflow RuntimeWarning."""
+def _daytime_series_csv(path, low, high):
+    """A 4-day series, 0 at night and uniform in [low, high) from 06:00 to 18:00 UTC."""
     values = np.zeros(4 * 1440)
     rng = np.random.default_rng(0)
     for day in range(4):
-        values[day * 1440 + 360 : day * 1440 + 1080] = rng.uniform(1e160, 2e160, 720)
+        values[day * 1440 + 360 : day * 1440 + 1080] = rng.uniform(low, high, 720)
+    path.write_text(emit_csv(make_series(values)))
+
+
+def test_report_scores_beyond_double_range_write_nothing(tmp_path, capsys):
+    """The scorecard's rmse and nrmse were inf, with an overflow RuntimeWarning."""
     series_csv = tmp_path / "series.csv"
-    series_csv.write_text(emit_csv(make_series(values)))
+    _daytime_series_csv(series_csv, 1e160, 2e160)
     outdir = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
-    assert "NonFiniteScoreError: rmse, nrmse overflow double precision" in capsys.readouterr().err
+    assert "NonFiniteError: rmse, nrmse overflow double precision" in capsys.readouterr().err
     assert not outdir.exists()
 
 
 def test_a_trend_beyond_double_range_writes_nothing(tmp_path, capsys):
     """forecast wrote 245 inf cells (exit 0), or ended in a RuntimeWarning traceback."""
-    values = np.zeros(4 * 1440)
-    rng = np.random.default_rng(0)
-    for day in range(4):
-        values[day * 1440 + 360 : day * 1440 + 1080] = rng.uniform(1e307, 1.7e308, 720)
     series_csv = tmp_path / "series.csv"
-    series_csv.write_text(emit_csv(make_series(values)))
+    _daytime_series_csv(series_csv, 1e307, 1.7e308)
     track_csv, outdir = tmp_path / "track.csv", tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run("forecast", "--input", str(series_csv), "--output", str(track_csv)) == cli.EXIT_DATA
         assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert err.count("NonFiniteTrendError: ") == 2 and "overflow double precision" in err
+    assert err.count("NonFiniteError: ") == 2 and "overflow double precision" in err
     assert not track_csv.exists() and not outdir.exists()
 
 
@@ -746,12 +747,23 @@ def _huge_track_csv(path):
     path.write_text("\n".join(["timestamp,predicted_1min_wm2,realized_wm2", *rows]) + "\n")
 
 
+def _subnormal_track_csv(path):
+    """A 4-day 1-minute-horizon track predicting 0.0; daylight realized values alternate 5e-324 and 1.0."""
+    start = np.datetime64("2021-06-01T00:00")
+    rows = [
+        f"{start + np.timedelta64(k, 'm')}:00Z,0.0,{realized!r}"
+        for k in range(4 * 1440)
+        for realized in [(5e-324 if k % 2 else 1.0) if 360 <= k % 1440 < 1080 else 0.0]
+    ]
+    path.write_text("\n".join(["timestamp,predicted_1min_wm2,realized_wm2", *rows]) + "\n")
+
+
 def test_bands_with_an_overflowing_frontier_writes_nothing(tmp_path, capsys):
     """2,159 upper frontiers were written as inf, with an overflow RuntimeWarning, exit 0."""
     track_csv, band_csv = tmp_path / "track.csv", tmp_path / "band.csv"
     _huge_track_csv(track_csv)
     assert run("bands", "--input", str(track_csv), "--output", str(band_csv)) == cli.EXIT_DATA
-    assert "NonFiniteBandError: upper frontier at index 2 overflows" in capsys.readouterr().err
+    assert "NonFiniteError: upper frontier at index 2 overflows" in capsys.readouterr().err
     assert not band_csv.exists()
 
 
@@ -762,19 +774,61 @@ def test_bands_with_an_infinite_multiplier_is_refused_without_a_warning(tmp_path
     calibration ratio overflows to an infinite multiplier.
     """
     track_csv, band_csv = tmp_path / "track.csv", tmp_path / "band.csv"
-    start = np.datetime64("2021-06-01T00:00")
-    rows = [
-        f"{start + np.timedelta64(k, 'm')}:00Z,0.0,{realized!r}"
-        for k in range(4 * 1440)
-        for realized in [(5e-324 if k % 2 else 1.0) if 360 <= k % 1440 < 1080 else 0.0]
-    ]
-    track_csv.write_text("\n".join(["timestamp,predicted_1min_wm2,realized_wm2", *rows]) + "\n")
+    _subnormal_track_csv(track_csv)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run("bands", "--input", str(track_csv), "--output", str(band_csv),
                    "--eps-day", "0") == cli.EXIT_DATA
-    assert "NonFiniteBandError: width multiplier at index 1440 is inf, not finite" in capsys.readouterr().err
+    assert "NonFiniteError: width multiplier at index 1440 is inf, not finite" in capsys.readouterr().err
     assert not band_csv.exists()
+
+
+@pytest.fixture(scope="module")
+def failure_inputs(tmp_path_factory):
+    """A directory of inputs that each end a run in one failure kind."""
+    d = tmp_path_factory.mktemp("failures")
+    assert run("synth", "--output", str(d / "day.csv"), "--days", "1", "--seed", "9") == 0
+    rows = (d / "day.csv").read_text().split("\n")[1:-1]
+    (d / "no_predictions.csv").write_text("\n".join(  # every predicted cell empty
+        [cli.FORECAST_CSV_HEADER, *(row.replace(",", ",,") for row in rows)]) + "\n")
+    _daytime_series_csv(d / "huge_fit.csv", 1e307, 1.7e308)
+    _daytime_series_csv(d / "huge_scores.csv", 1e160, 2e160)
+    _huge_track_csv(d / "huge_track.csv")
+    _subnormal_track_csv(d / "subnormal_track.csv")
+    return d
+
+
+_NO_PREDICTION = ("no defined prediction: each needs a gap-free --window-w 1000 trend window "
+                  "ending --horizon 500 minutes earlier")
+_HUGE_FIT = "3356 gap-free trend windows overflow double precision, the first ending at sample 360"
+
+
+@pytest.mark.parametrize("sub, name, flags, kind, message", [
+    ("forecast", "day.csv", ("--window-w", "1000", "--horizon", "500"), "NoRecordsError", _NO_PREDICTION),
+    ("report", "day.csv", ("--window-w", "1000", "--horizon", "500"), "NoRecordsError", _NO_PREDICTION),
+    ("bands", "no_predictions.csv", (), "NoRecordsError", "forecast track has no defined records"),
+    ("forecast", "huge_fit.csv", (), "NonFiniteError", _HUGE_FIT),
+    ("report", "huge_fit.csv", (), "NonFiniteError", _HUGE_FIT),
+    ("bands", "huge_track.csv", (), "NonFiniteError",
+     "upper frontier at index 2 overflows double precision"),
+    ("bands", "subnormal_track.csv", ("--eps-day", "0"), "NonFiniteError",
+     "width multiplier at index 1440 is inf, not finite"),
+    ("report", "huge_scores.csv", (), "NonFiniteError", "rmse, nrmse overflow double precision"),
+], ids=["forecast-no-prediction", "report-no-prediction", "bands-no-prediction", "forecast-huge-fit",
+        "report-huge-fit", "bands-huge-frontier", "bands-infinite-multiplier", "report-huge-scores"])
+def test_each_failure_kind_names_one_class(failure_inputs, tmp_path, capsys, sub, name, flags, kind,
+                                           message):
+    """Each kind went by its stage's own class name, or by a bare ValueError.
+
+    Only the class name changed: each message, the exit code and the absent output are as they were.
+    """
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(sub, "--input", str(failure_inputs / name), "--output", str(out), *flags)
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr() == ("", f"solarband {sub}: {kind}: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_each_subcommand_builds_one_daylight_mask(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from solarband import NonFiniteTrendError
+from solarband import NonFiniteError
 from solarband import series as series_mod
 from solarband.decomposition import DEFAULT_WINDOW, Decomposition, extract_trend
 from solarband.synth import SynthConfig, generate
@@ -55,7 +55,7 @@ def reference_extract_trend(series, window=DEFAULT_WINDOW):
         gaps = np.concatenate(([0], np.cumsum(np.isnan(values))))
         overflowed = ~np.isfinite(tail) & (gaps[window:] == gaps[:-window])
         if overflowed.any():
-            raise NonFiniteTrendError(
+            raise NonFiniteError(
                 f"{np.count_nonzero(overflowed)} gap-free trend windows overflow double precision, "
                 f"the first ending at sample {window - 1 + np.flatnonzero(overflowed)[0]}"
             )
@@ -226,7 +226,7 @@ def test_a_fit_beyond_double_range_is_refused_by_name():
     for day in range(3):
         values[day * 1440 + 360 : day * 1440 + 1080] = rng.uniform(1e307, 1.7e308, 720)
     values[2000:2100] = np.nan
-    with pytest.raises(NonFiniteTrendError, match="gap-free trend windows overflow double precision, "
+    with pytest.raises(NonFiniteError, match="gap-free trend windows overflow double precision, "
                        "the first ending at sample 360$"):
         extract_trend(make_series(values), 120)
 
@@ -280,7 +280,7 @@ def trend_values(kind, n, seed, gap_rate):
 def fit_or_error(fit, series, window):
     try:
         return fit(series, window)
-    except NonFiniteTrendError as err:
+    except NonFiniteError as err:
         return str(err)
 
 

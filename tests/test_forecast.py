@@ -4,8 +4,9 @@ from conftest import START, make_series
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solarband.decomposition import Decomposition, NonFiniteTrendError, extract_trend
+from solarband.decomposition import Decomposition, extract_trend
 from solarband.forecast import trend_forecast
+from solarband.series import NonFiniteError
 
 
 def _trend_track(values, window=30, horizon=60):
@@ -80,7 +81,7 @@ def test_an_extrapolation_beyond_double_range_is_refused():
     s = make_series(values)
     d = extract_trend(s, 2)
     assert np.isfinite(d.trend[1:]).all()
-    with pytest.raises(NonFiniteTrendError, match="extrapolated 1000 minutes"):
+    with pytest.raises(NonFiniteError, match="extrapolated 1000 minutes"):
         trend_forecast(s, d, 1000)
     assert np.isfinite(trend_forecast(s, d, 1).predicted[2:]).all()
 
@@ -127,6 +128,6 @@ def test_the_forecast_is_the_whole_array_extrapolation(n, horizon, seed, kind, o
         decomposition = Decomposition(START, decomposition.trend, decomposition.fluctuation, slope)
     try:
         got = trend_forecast(make_series(np.zeros(n)), decomposition, horizon).predicted.tobytes()
-    except NonFiniteTrendError as err:
+    except NonFiniteError as err:
         got = str(err)
     assert got == reference_trend_forecast(decomposition, horizon)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solarband import cli
+from solarband import series as series_mod
 from solarband.forecast import ForecastTrack
 from solarband.series import (
     CADENCE,
@@ -21,6 +22,7 @@ from solarband.series import (
     format_value,
     ingest_csv,
     parse_timestamp,
+    read_grid_csv,
     write_grid_csv,
 )
 
@@ -232,6 +234,25 @@ def test_reader_accepts_what_float_accepts():
     track = read_track(f"{cli.FORECAST_CSV_HEADER}\n{stamp(0)},,\n{stamp(2)},3,\n")
     assert np.array_equal(track.predicted, [np.nan, np.nan, 3.0], equal_nan=True)
     assert np.isnan(track.realized).all()
+
+
+def test_tracks_hold_the_readers_columns_uncopied(monkeypatch):
+    """Each column was a writable row view of one 2-D grid, so every track copied it again."""
+    columns = []
+
+    def recorded(*args, **kwargs):
+        start, read = read_grid_csv(*args, **kwargs)
+        assert all(col.base is None and not col.flags.writeable for col in read)
+        columns.extend(read)
+        return start, read
+
+    monkeypatch.setattr(series_mod, "read_grid_csv", recorded)
+    monkeypatch.setattr(cli, "read_grid_csv", recorded)
+    series = ingest_csv(f"{CSV_HEADER}\n{stamp(0)},1\n{stamp(2)},2\n")
+    track = read_track(f"{cli.FORECAST_CSV_HEADER}\n{stamp(0)},1,\n{stamp(3)},,2\n")
+    assert len(columns) == 3
+    assert series.values is columns[0]
+    assert track.predicted is columns[1] and track.realized is columns[2]
 
 
 def test_long_cells_parse_bit_exactly():

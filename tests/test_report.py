@@ -13,17 +13,16 @@ from solarband import report
 from solarband.bands import BandTrack, calibrate_alpha, inside_band
 from solarband.forecast import ForecastTrack
 from solarband.normality import CURVE_POINTS, DegenerateSampleError, diff_histogram
-from solarband.risk import VolatilityTrack
 from solarband.report import (
     EmptyRangeError,
-    NonFiniteScoreError,
-    NoScorableRecordsError,
     emit_plot,
     render_histogram_svg,
     render_series_svg,
     score,
     scorecard_csv,
 )
+from solarband.risk import VolatilityTrack
+from solarband.series import NonFiniteError, NoRecordsError
 
 
 def _band(lower, upper, alpha=None, start=START):
@@ -89,7 +88,7 @@ def test_rmse_at_least_mae():
 def test_no_eligible_records_raises():
     track = _track(np.full(10, np.nan), np.ones(10))
     band = _band(np.ones(10), np.ones(10))
-    with pytest.raises(NoScorableRecordsError):
+    with pytest.raises(NoRecordsError, match="^no eligible records to score$"):
         score(track, band, all_daylight(10))
 
 
@@ -105,7 +104,7 @@ def test_score_beyond_double_range_is_refused_by_name(realized, upper, names):
     n = 4
     track = _track(np.zeros(n), np.full(n, realized))
     band = _band(np.zeros(n), np.full(n, upper))
-    with pytest.raises(NonFiniteScoreError, match=f"^{names} overflow double precision$"):
+    with pytest.raises(NonFiniteError, match=f"^{names} overflow double precision$"):
         score(track, band, all_daylight(n))
 
 
@@ -196,6 +195,15 @@ def test_empty_zoom_range_raises():
         emit_plot(series, track, band, "zoom", zoom=zoom)
     with pytest.raises(EmptyRangeError):
         emit_plot(series, track, band, "zoom", zoom=(series.start_time, series.start_time))
+
+
+def test_a_histogram_with_no_daylight_error_has_no_records():
+    """It raised EmptyRangeError, the class of a plot range that holds no sample."""
+    series, track, _, mask, band = _pipeline_pieces()
+    night = replace(mask, flags=np.zeros(len(mask), dtype=bool))
+    with pytest.raises(NoRecordsError, match="^no daylight forecast errors to bin$") as err:
+        emit_plot(series, track, band, "histogram", mask=night)
+    assert not isinstance(err.value, EmptyRangeError)
 
 
 def test_default_zoom_is_the_final_48_hours_or_the_whole_series():

@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from solarband.forecast import ForecastTrack
-from solarband.risk import NoDefinedRecordsError, volatility_track
+from solarband.risk import volatility_track
+from solarband.series import NoRecordsError
 
 
 def _track(predicted, realized, horizon=60):
@@ -97,5 +98,5 @@ def test_negating_diffs_leaves_vol_unchanged():
 
 def test_no_defined_records_raises():
     empty = np.full(100, np.nan)
-    with pytest.raises(NoDefinedRecordsError):
+    with pytest.raises(NoRecordsError, match="^forecast track has no defined records$"):
         volatility_track(_track(empty, np.ones(100)))
