@@ -269,13 +269,15 @@ def generate_table(
     the statistic computed by :func:`lilliefors_statistic` itself, and
     critical values read off as conservative order statistics. Each size gets
     its own child seed, so per-size results do not depend on which sizes are
-    requested together.
+    requested together. A size below MIN_SAMPLES is a ValueError before any draw.
     """
     if not 1000 <= replicates <= MAX_REPLICATES:
         raise ValueError(f"replicates must be in [1000, {MAX_REPLICATES}] for a usable quantile")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     sizes = list(TABLE_SIZES) if sizes is None else sorted(sizes)
+    if sizes and sizes[0] < MIN_SAMPLES:
+        raise ValueError(f"table sizes need at least {MIN_SAMPLES} samples, got {sizes[0]}")
     rows: list[tuple[int, float, float]] = []
     for n in sizes:
         rng = np.random.default_rng(np.random.SeedSequence([seed, n]))

@@ -62,7 +62,8 @@ def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> Score
     the calibration's ratio rule, so it can fall below the target over a
     calibration window). nRMSE is RMSE over the mean realized value of the
     scored records. A value beyond double range, such as the RMSE of errors
-    past about 1e154, raises NonFiniteError. No eligible record raises NoRecordsError.
+    past about 1e154, or an nRMSE over a mean of 0 raises NonFiniteError. No
+    eligible record raises NoRecordsError.
     """
     check_aligned(forecast, band, mask)
     realized = forecast.realized
@@ -77,11 +78,14 @@ def score(forecast: ForecastTrack, band: BandTrack, mask: DaylightMask) -> Score
         err = realized[keep] - predicted[keep]
         rmse = math.sqrt(float(np.mean(err**2)))
         mae = float(np.mean(np.abs(err)))
+        mean_realized = float(np.mean(realized[keep]))
+        if mean_realized == 0.0:
+            raise NonFiniteError("nrmse is undefined: the scored records' mean realized value is 0")
         covered = inside_band(realized[keep], band.lower[keep], band.upper[keep])
         card = ScoreCard(
             rmse=rmse,
             mae=mae,
-            nrmse=rmse / float(np.mean(realized[keep])),
+            nrmse=rmse / mean_realized,
             coverage=float(np.mean(covered)),
             mean_band_width=float(np.mean(band.upper[keep] - band.lower[keep])),
             n_scored=n,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import accumulate
 
 import numpy as np
 
@@ -81,9 +80,6 @@ def clear_sky_curve(cfg: SynthConfig) -> np.ndarray:
     return (cfg.clear_sky_peak * np.maximum(0.0, elevation)).ravel()
 
 
-# Steps of the AR(1) recurrence that pass through Python floats at a time:
-# small enough that the per-chunk lists add nothing to the track's peak memory.
-_CHUNK = 4096
 # Minutes per lane of the side-by-side recurrence. Its warm-up forgets a wrong
 # start by a factor rho**_LANE, 0.97**2048 (about 1e-27) at the largest rho.
 _LANE = 2048
@@ -91,40 +87,24 @@ _LANE = 2048
 _DRAWS = 4096
 
 
-def _ar1_sequential(shocks: np.ndarray, rho: float, sigma: float, last: float = 0.0) -> None:
-    """noise[k] = rho * noise[k - 1] + sigma * shocks[k] from noise `last`, in place.
-
-    One Python float step per minute, so each sample rounds as a per-minute
-    loop rounds it.
-    """
-    for a in range(0, shocks.size, _CHUNK):
-        steps = (sigma * shocks[a : a + _CHUNK]).tolist()
-        chunk = list(accumulate(steps, lambda x, step: rho * x + step, initial=last))
-        shocks[a : a + _CHUNK] = chunk[1:]
-        last = chunk[-1]
-
-
 def _ar1_noise(shocks: np.ndarray, rho: float, sigma: float) -> np.ndarray:
     """noise[k] = rho * noise[k - 1] + sigma * shocks[k] from noise 0, in place.
 
-    The track runs as lanes of _LANE minutes side by side, one numpy step per
-    minute of a lane: y *= rho, then y += step, the two separately rounded
-    operations of the per-minute loop. Each lane but the first starts from a
-    guess: the state reached from 0 over the previous lane's steps. The lanes
-    are kept only if every guess equals, bit for bit, the previous lane's last
-    value. Then by induction every sample is the loop's: lane 0 starts from
-    the loop's exact 0, and a lane that starts from the loop's exact state
-    takes the loop's steps from it, so it ends on the loop's exact state,
-    which is the next lane's start. A failed check, a track shorter than two
-    lanes and the minutes after the last whole lane go through
-    _ar1_sequential, the latter from the exact last state.
+    shocks holds whole lanes of _LANE minutes, a short track padded with zero
+    shocks. The lanes run side by side, one numpy step per minute of a lane:
+    y *= rho, then y += step, the two separately rounded operations of the
+    per-minute loop. Lane 0 starts from the loop's exact 0. Each other lane
+    starts from a guess, first the state a read-only warm-up reaches from 0
+    over the previous lane's steps. While a guess differs, bit for bit, from
+    the previous lane's last value, the guesses take those last values, the
+    steps are rebuilt from shocks and the lanes run again. Then by induction
+    every sample is the loop's: a lane that starts from the loop's exact
+    state takes the loop's steps from it, so it ends on the loop's exact
+    state, which is the next lane's start. Each round makes at least one more
+    lane's start exact, so there are at most as many rounds as lanes.
     """
     lanes = shocks.size // _LANE
-    if lanes < 2:
-        _ar1_sequential(shocks, rho, sigma)
-        return shocks
-    done = lanes * _LANE
-    by_lane = shocks[:done].reshape(lanes, _LANE)
+    by_lane = shocks.reshape(lanes, _LANE)
     # Row j holds minute j of every lane: its steps, then its noise.
     by_minute = np.multiply(by_lane.T, sigma, out=np.empty((_LANE, lanes)))
     start = np.zeros(lanes)
@@ -132,17 +112,19 @@ def _ar1_noise(shocks: np.ndarray, rho: float, sigma: float) -> np.ndarray:
     for step in by_minute[:, :-1]:
         guess *= rho
         guess += step
-    y = start.copy()
-    for row in by_minute:
-        y *= rho
-        y += row
-        row[:] = y
-    # Compared as int64, so that -0.0 and 0.0, equal as floats, count as different.
-    if not np.array_equal(guess.view(np.int64), by_minute[-1, :-1].view(np.int64)):
-        _ar1_sequential(shocks, rho, sigma)
-        return shocks
+    while True:
+        y = start.copy()
+        for row in by_minute:
+            y *= rho
+            y += row
+            row[:] = y
+        ends = by_minute[-1, :-1]
+        # Compared as int64, so that -0.0 and 0.0, equal as floats, count as different.
+        if np.array_equal(guess.view(np.int64), ends.view(np.int64)):
+            break
+        guess[:] = ends
+        np.multiply(by_lane.T, sigma, out=by_minute)
     by_lane[...] = by_minute.T
-    _ar1_sequential(shocks[done:], rho, sigma, float(by_minute[-1, -1]))
     return shocks
 
 
@@ -194,14 +176,15 @@ def _broken_levels(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _cloud_factor(cfg: SynthConfig, n: int) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed)
-    shocks = rng.standard_normal(n)
+    shocks = np.zeros(-(-n // _LANE) * _LANE)  # zero shocks pad the last lane
+    rng.standard_normal(out=shocks[:n])
     if cfg.cloud_regime == "broken":
         p = _BROKEN
         level = _broken_levels(rng, n)
     else:
         p = _CLEAR if cfg.cloud_regime == "clear" else _OVERCAST
         level = p["level"]
-    factor = _ar1_noise(shocks, p["rho"], p["sigma"])
+    factor = _ar1_noise(shocks, p["rho"], p["sigma"])[:n]
     np.add(level, factor, out=factor)
     return np.clip(factor, p["lo"], p["hi"], out=factor)
 

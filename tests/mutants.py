@@ -179,6 +179,14 @@ MUTANTS = (
         ("tests/test_cli.py::test_bands_reads_the_horizon_forecast_wrote",),
     ),
     Mutant(
+        "cloud-noise-lanes-kept-without-their-merge-check",
+        "src/solarband/synth.py",
+        "        if np.array_equal(guess.view(np.int64), ends.view(np.int64)):\n"
+        "            break\n",
+        "        break\n",
+        ("tests/test_synth.py::test_lanes_that_cannot_merge_rerun_the_whole_track",),
+    ),
+    Mutant(
         "no-defined-prediction-raised-as-a-bare-value-error",
         "src/solarband/cli.py",
         'raise NoRecordsError(f"no defined prediction:',

@@ -800,12 +800,17 @@ def failure_inputs(tmp_path_factory):
 
 _NO_PREDICTION = ("no defined prediction: each needs a gap-free --window-w 1000 trend window "
                   "ending --horizon 500 minutes earlier")
+# a horizon of at least the series length leaves trend_forecast no prediction to extrapolate
+_HORIZON_PAST_SERIES = ("no defined prediction: each needs a gap-free --window-w 120 trend window "
+                        "ending --horizon 3000 minutes earlier")
 _HUGE_FIT = "3356 gap-free trend windows overflow double precision, the first ending at sample 360"
 
 
 @pytest.mark.parametrize("sub, name, flags, kind, message", [
     ("forecast", "day.csv", ("--window-w", "1000", "--horizon", "500"), "NoRecordsError", _NO_PREDICTION),
     ("report", "day.csv", ("--window-w", "1000", "--horizon", "500"), "NoRecordsError", _NO_PREDICTION),
+    ("forecast", "day.csv", ("--horizon", "3000"), "NoRecordsError", _HORIZON_PAST_SERIES),
+    ("report", "day.csv", ("--horizon", "3000"), "NoRecordsError", _HORIZON_PAST_SERIES),
     ("bands", "no_predictions.csv", (), "NoRecordsError", "forecast track has no defined records"),
     ("forecast", "huge_fit.csv", (), "NonFiniteError", _HUGE_FIT),
     ("report", "huge_fit.csv", (), "NonFiniteError", _HUGE_FIT),
@@ -814,8 +819,9 @@ _HUGE_FIT = "3356 gap-free trend windows overflow double precision, the first en
     ("bands", "subnormal_track.csv", ("--eps-day", "0"), "NonFiniteError",
      "width multiplier at index 1440 is inf, not finite"),
     ("report", "huge_scores.csv", (), "NonFiniteError", "rmse, nrmse overflow double precision"),
-], ids=["forecast-no-prediction", "report-no-prediction", "bands-no-prediction", "forecast-huge-fit",
-        "report-huge-fit", "bands-huge-frontier", "bands-infinite-multiplier", "report-huge-scores"])
+], ids=["forecast-no-prediction", "report-no-prediction", "forecast-horizon-past-series",
+        "report-horizon-past-series", "bands-no-prediction", "forecast-huge-fit", "report-huge-fit",
+        "bands-huge-frontier", "bands-infinite-multiplier", "report-huge-scores"])
 def test_each_failure_kind_names_one_class(failure_inputs, tmp_path, capsys, sub, name, flags, kind,
                                            message):
     """Each kind went by its stage's own class name, or by a bare ValueError.

@@ -272,6 +272,15 @@ def test_table_generation_deterministic_and_parseable():
     assert [r for r in rows if r[0] == 25] == only25
 
 
+@pytest.mark.parametrize("sizes, smallest", [([0], 0), ([1], 1), ([7], 7), ([25, 3], 3)])
+def test_a_table_size_below_the_minimum_is_refused_by_name(sizes, smallest):
+    """0 raised ZeroDivisionError, 1 warned "Degrees of freedom <= 0" first, 7 made a table."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^table sizes need at least 8 samples, got {smallest}$"):
+            generate_table(seed=9, replicates=1000, sizes=sizes)
+
+
 def test_lilliefors_statistic_of_rows_is_each_rows_statistic():
     rows = np.random.default_rng(45).standard_normal((5, 40))
     rows[2] *= 1e3

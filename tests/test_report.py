@@ -108,6 +108,16 @@ def test_score_beyond_double_range_is_refused_by_name(realized, upper, names):
         score(track, band, all_daylight(n))
 
 
+def test_score_over_a_zero_mean_is_refused_by_name():
+    """nrmse divided by the mean realized value, 0 here, and raised a bare ZeroDivisionError."""
+    n = 4
+    track = _track(np.zeros(n), np.zeros(n))
+    band = _band(np.full(n, -1.0), np.ones(n))
+    message = "^nrmse is undefined: the scored records' mean realized value is 0$"
+    with pytest.raises(NonFiniteError, match=message):
+        score(track, band, all_daylight(n))
+
+
 def test_score_coverage_matches_calibration_counting():
     # the scorer and the calibrator must agree on what "inside" means
     rng = np.random.default_rng(56)

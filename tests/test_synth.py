@@ -147,13 +147,10 @@ def reference_cloud_factor(cfg, n):
     seed=st.integers(0, 2**64),
     n=st.integers(1, 20_000),
 )
-@example(regime="broken", seed=3, n=synth._CHUNK - 1)
-@example(regime="broken", seed=4, n=synth._CHUNK)
-@example(regime="clear", seed=5, n=synth._CHUNK + 1)
-@example(regime="overcast", seed=6, n=3 * synth._CHUNK)
-@example(regime="overcast", seed=7, n=2 * synth._LANE - 1)
-@example(regime="broken", seed=8, n=2 * synth._LANE)
-@example(regime="clear", seed=9, n=2 * synth._LANE + 1)
+@example(regime="broken", seed=3, n=1)
+@example(regime="overcast", seed=7, n=synth._LANE - 1)
+@example(regime="broken", seed=8, n=synth._LANE)
+@example(regime="clear", seed=9, n=synth._LANE + 1)
 @example(regime="overcast", seed=10, n=5 * synth._LANE + 7)
 @settings(max_examples=80, deadline=None, database=None)
 def test_cloud_factor_is_the_per_minute_loop_bit_for_bit(regime, seed, n):
@@ -168,35 +165,13 @@ def test_cloud_factor_is_the_per_minute_loop_over_a_year(regime):
     assert synth._cloud_factor(cfg, n).tobytes() == reference_cloud_factor(cfg, n).tobytes()
 
 
-def _record_sequential_runs(monkeypatch):
-    """Wrap the sequential recurrence; the list gets the length of each run."""
-    sizes = []
-    sequential = synth._ar1_sequential
-
-    def recorded(shocks, *args):
-        sizes.append(shocks.size)
-        return sequential(shocks, *args)
-
-    monkeypatch.setattr(synth, "_ar1_sequential", recorded)
-    return sizes
-
-
 def test_lanes_that_cannot_merge_rerun_the_whole_track(monkeypatch):
-    # 0.97**8 is about 0.78: eight minutes of warm-up cannot forget a wrong start
+    # 0.97**8 is about 0.78: eight minutes of warm-up cannot forget a wrong start,
+    # so the lanes run again from the corrected starts until every start agrees
     monkeypatch.setattr(synth, "_LANE", 8)
-    sizes = _record_sequential_runs(monkeypatch)
     cfg = SynthConfig(cloud_regime="overcast", seed=13)
-    n = 1000
-    assert synth._cloud_factor(cfg, n).tobytes() == reference_cloud_factor(cfg, n).tobytes()
-    assert sizes == [n]
-
-
-@pytest.mark.parametrize("regime", REGIMES)
-def test_a_year_sends_only_its_tail_through_the_sequential_path(monkeypatch, regime):
-    sizes = _record_sequential_runs(monkeypatch)
-    n = 365 * 1440
-    synth._cloud_factor(SynthConfig(cloud_regime=regime, seed=31), n)
-    assert sizes == [n % synth._LANE] and n % synth._LANE > 0
+    for n in (1, 7, 8, 9, 47, 1000):
+        assert synth._cloud_factor(cfg, n).tobytes() == reference_cloud_factor(cfg, n).tobytes()
 
 
 def solar_elevation_sine(latitude, day_of_year, minute_of_day):
