@@ -224,7 +224,8 @@ def render_series_svg(
     _polylines(parts, xs, series.values[lo:hi], sx, sy, "measured", 'stroke="blue"')
     if forecast is not None:
         _polylines(parts, xs, forecast.predicted[lo:hi], sx, sy, "predicted", 'stroke="red"')
-    return "\n".join(parts) + "\n</svg>\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def render_histogram_svg(hist: Histogram, title: str) -> str:
@@ -252,7 +253,8 @@ def render_histogram_svg(hist: Histogram, title: str) -> str:
             f'fill="blue" fill-opacity="0.55"/>'
         )
     _polylines(parts, hist.curve_x, hist.curve_y, sx, sy, "normal-curve", 'stroke="red"')
-    return "\n".join(parts) + "\n</svg>\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def zoom_range(series: IrradianceSeries, zoom: tuple[datetime, datetime] | None = None) -> tuple[int, int]:

@@ -394,7 +394,8 @@ def write_grid_csv(header: str, start: datetime, keep: np.ndarray, *columns: np.
         k = idx[lo : lo + _WRITE_CHUNK]
         cells = ([_cell(v) for v in column[k].tolist()] for column in columns)
         chunks.append("\n".join(map(",".join, zip(_stamps(start, k), *cells))))
-    return "\n".join(chunks) + "\n"
+    chunks.append("")  # the last row's newline
+    return "\n".join(chunks)
 
 
 def emit_csv(series: IrradianceSeries) -> str:

@@ -187,6 +187,29 @@ MUTANTS = (
         ("tests/test_synth.py::test_lanes_that_cannot_merge_rerun_the_whole_track",),
     ),
     Mutant(
+        "dwell-scales-swapped",
+        "src/solarband/synth.py",
+        'np.resize([p["dwell_high"], p["dwell_low"]], _DRAWS + 1)',
+        'np.resize([p["dwell_low"], p["dwell_high"]], _DRAWS + 1)',
+        ("tests/test_synth.py::test_broken_levels_equal_one_scalar_draw_per_dwell",
+         "tests/test_synth.py::test_crafted_draws_equal_one_scalar_draw_per_dwell"),
+    ),
+    Mutant(
+        "dwell-first-draw-clamp-dropped",
+        "src/solarband/synth.py",
+        "        if held < 0:  # only for a first draw of 0.0; max() here took 50% longer\n"
+        "            held = 0\n",
+        "",
+        ("tests/test_synth.py::test_crafted_draws_equal_one_scalar_draw_per_dwell",),
+    ),
+    Mutant(
+        "dwell-blocks-scaled-as-if-each-began-on-a-bright-draw",
+        "src/solarband/synth.py",
+        "scales[first % 2 : first % 2 + _DRAWS]",
+        "scales[:_DRAWS]",
+        ("tests/test_synth.py::test_crafted_draws_equal_one_scalar_draw_per_dwell",),
+    ),
+    Mutant(
         "no-defined-prediction-raised-as-a-bare-value-error",
         "src/solarband/cli.py",
         'raise NoRecordsError(f"no defined prediction:',

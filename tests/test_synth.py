@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -239,6 +240,46 @@ def reference_broken_levels(rng, n):
 def test_broken_levels_equal_one_scalar_draw_per_dwell(seed, n):
     levels = synth._broken_levels(np.random.default_rng(seed), n)
     assert levels.tobytes() == reference_broken_levels(np.random.default_rng(seed), n).tobytes()
+
+
+class CraftedStream:
+    """One list of standard exponential draws, then 1.0s, served in order through both
+    calls the dwell process makes: a block of draws, or one draw times its scale."""
+
+    def __init__(self, draws):
+        self._draws = itertools.chain(draws, itertools.repeat(1.0))
+
+    def standard_exponential(self, size):
+        return np.fromiter(self._draws, float, count=size)
+
+    def exponential(self, scale):
+        return scale * next(self._draws)
+
+
+# Draw i is a bright dwell of 20 * draw minutes when i is even, a dim one of 8 * draw when odd.
+CRAFTED_DRAWS = {
+    # remaining starts at 0.0, so no minute is held before the first switch
+    "first-draw-zero": [0.0, 0.5, 0.25],
+    "first-two-draws-zero": [0.0, 0.0, 0.125],
+    # several switches in one minute, and subnormal dwells that round away in r - 1.0
+    "zeros-and-subnormals-mid-run": [1.0, 0.0, 0.0, 0.0, 5e-324, 0.0, 2.0**-1022, 0.75],
+    # remaining exactly on an integer: 5, 4, 30, 3, then a sum that lands on 0.0
+    "integer-remaining": [0.25, 0.5, 1.5, 0.375, 0.025, 0.0625, 0.1],
+    # one dwell past any n here, the next far past it
+    "long-dwells": [0.3, 0.8, 1e6, 1e300],
+}
+
+
+@pytest.mark.parametrize("draws_per_block", [1, 2, 3, 4, synth._DRAWS])
+@pytest.mark.parametrize("name", CRAFTED_DRAWS)
+def test_crafted_draws_equal_one_scalar_draw_per_dwell(monkeypatch, name, draws_per_block):
+    # blocks of 1 to 4 draws end mid-run, on both parities of the draws taken;
+    # n from 1 to 80 puts the end of the track on and beside each switching minute
+    monkeypatch.setattr(synth, "_DRAWS", draws_per_block)
+    draws = CRAFTED_DRAWS[name]
+    for n in range(1, 81):
+        levels = synth._broken_levels(CraftedStream(draws), n)
+        assert levels.tobytes() == reference_broken_levels(CraftedStream(draws), n).tobytes(), n
 
 
 def test_the_dwells_of_a_long_track_cross_a_block_of_draws():
