@@ -10,6 +10,7 @@ codes: 0 success, 2 usage error, 3 data error, 4 uncalibratable window.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -175,11 +176,15 @@ def _write_all(texts: Texts, out: Path | None) -> None:
     """Write each text to its target, all or none, then the text keyed None to stdout.
 
     Each goes to a temporary file beside its target, renamed once all are complete.
+    A text for stdout while stdout is closed (``sys.stdout`` is None, as when fd 1
+    was closed at start) is an OSError, raised before any file is written.
     ``out`` (--output) is a target or the directory that holds them, made here if
     missing. A failure removes the temporary files and a directory made here: only
     a failed rename (rare within one directory) keeps the targets it already replaced.
     """
     stdout = texts.pop(None, "")
+    if stdout and sys.stdout is None:
+        raise OSError("stdout is closed")
     for target in texts:
         if target.is_dir():
             raise IsADirectoryError(f"{target} is a directory")
@@ -199,7 +204,8 @@ def _write_all(texts: Texts, out: Path | None) -> None:
         if made and not any(out.iterdir()):
             out.rmdir()
         raise
-    sys.stdout.write(stdout)
+    if stdout:
+        sys.stdout.write(stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +298,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Exit with ``main``'s code, the collector frozen once ``main`` is done.
+
+    The collections at interpreter exit skip frozen objects, numpy's and scipy's
+    among them. ``main`` never freezes: what an in-process caller makes stays collectable.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

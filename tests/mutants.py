@@ -216,6 +216,25 @@ MUTANTS = (
         'raise ValueError(f"no defined prediction:',
         ("tests/test_cli.py::test_each_failure_kind_names_one_class",),
     ),
+    Mutant(
+        "text-for-a-closed-stdout-unchecked",
+        "src/solarband/cli.py",
+        "    if stdout and sys.stdout is None:\n"
+        '        raise OSError("stdout is closed")\n',
+        "",
+        ("tests/test_cli.py::test_a_run_with_stdout_closed_prints_nothing_or_writes_nothing",),
+    ),
+    Mutant(
+        "collector-frozen-in-main",
+        "src/solarband/cli.py",
+        # main rebound to freeze on every way out: the freeze moved from entrypoint into main
+        "    try:\n        sys.exit(main())\n    finally:\n        gc.freeze()\n",
+        "    sys.exit(main())\n\n\n"
+        "_main = main\n\n\n"
+        "def main(argv=None):\n"
+        "    try:\n        return _main(argv)\n    finally:\n        gc.freeze()\n",
+        ("tests/test_cli.py::test_main_never_freezes_the_collector",),
+    ),
 )
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -468,17 +469,6 @@ def test_out_of_range_flags_are_data_errors(tmp_path):
                    "--eps-day", eps_day) == cli.EXIT_DATA
 
 
-def test_report_with_no_defined_prediction_names_the_horizon(tmp_path, capsys):
-    """report reached the calibration's "forecast track has no defined records", which names no flag."""
-    series_csv = tmp_path / "series.csv"
-    run("synth", "--output", str(series_csv), "--days", "1", "--seed", "9")
-    assert run("report", "--input", str(series_csv), "--output", str(tmp_path / "out"),
-               "--horizon", "3000") == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert "no defined prediction" in err and "--horizon 3000" in err
-    assert not (tmp_path / "out").exists()
-
-
 def test_bands_and_report_calibrate_once(tmp_path, monkeypatch):
     from solarband import bands as bands_mod
 
@@ -620,18 +610,6 @@ def test_report_overwrites_a_temporary_file_left_by_a_killed_run(tmp_path):
         "histogram.svg", "monthly.svg", "scorecard.csv", "zoom.svg"]
 
 
-@pytest.mark.parametrize("horizon", ["3000", "2800"])
-def test_forecast_with_no_defined_prediction_is_a_data_error(tmp_path, capsys, horizon):
-    """On 2,880 samples, 3000 passes the series and 2800 leaves no full trend window that far back."""
-    series_csv = tmp_path / "series.csv"
-    track_csv = tmp_path / "track.csv"
-    run("synth", "--output", str(series_csv), "--days", "2", "--regime", "broken", "--seed", "9")
-    assert run("forecast", "--input", str(series_csv), "--output", str(track_csv),
-               "--horizon", horizon) == cli.EXIT_DATA
-    assert "no defined prediction" in capsys.readouterr().err
-    assert not track_csv.exists()
-
-
 @pytest.mark.parametrize("scale", [1e80, 1e200])
 def test_normtest_moments_beyond_double_range_are_a_data_error(tmp_path, capsys, scale):
     """At 1e80 jarque_bera's m2**2 raised OverflowError (exit 1); at 1e200 it blamed zero variance."""
@@ -710,32 +688,6 @@ def _daytime_series_csv(path, low, high):
     path.write_text(emit_csv(make_series(values)))
 
 
-def test_report_scores_beyond_double_range_write_nothing(tmp_path, capsys):
-    """The scorecard's rmse and nrmse were inf, with an overflow RuntimeWarning."""
-    series_csv = tmp_path / "series.csv"
-    _daytime_series_csv(series_csv, 1e160, 2e160)
-    outdir = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
-    assert "NonFiniteError: rmse, nrmse overflow double precision" in capsys.readouterr().err
-    assert not outdir.exists()
-
-
-def test_a_trend_beyond_double_range_writes_nothing(tmp_path, capsys):
-    """forecast wrote 245 inf cells (exit 0), or ended in a RuntimeWarning traceback."""
-    series_csv = tmp_path / "series.csv"
-    _daytime_series_csv(series_csv, 1e307, 1.7e308)
-    track_csv, outdir = tmp_path / "track.csv", tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run("forecast", "--input", str(series_csv), "--output", str(track_csv)) == cli.EXIT_DATA
-        assert run("report", "--input", str(series_csv), "--output", str(outdir)) == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.count("NonFiniteError: ") == 2 and "overflow double precision" in err
-    assert not track_csv.exists() and not outdir.exists()
-
-
 def _huge_track_csv(path):
     """A 3-day 1-minute-horizon track whose values alternate between 1e307 and 1.7e308."""
     start = np.datetime64("2021-06-01T00:00")
@@ -756,31 +708,6 @@ def _subnormal_track_csv(path):
         for realized in [(5e-324 if k % 2 else 1.0) if 360 <= k % 1440 < 1080 else 0.0]
     ]
     path.write_text("\n".join(["timestamp,predicted_1min_wm2,realized_wm2", *rows]) + "\n")
-
-
-def test_bands_with_an_overflowing_frontier_writes_nothing(tmp_path, capsys):
-    """2,159 upper frontiers were written as inf, with an overflow RuntimeWarning, exit 0."""
-    track_csv, band_csv = tmp_path / "track.csv", tmp_path / "band.csv"
-    _huge_track_csv(track_csv)
-    assert run("bands", "--input", str(track_csv), "--output", str(band_csv)) == cli.EXIT_DATA
-    assert "NonFiniteError: upper frontier at index 2 overflows" in capsys.readouterr().err
-    assert not band_csv.exists()
-
-
-def test_bands_with_an_infinite_multiplier_is_refused_without_a_warning(tmp_path, capsys):
-    """alpha = inf times vol_pred = 0 raised "invalid value encountered in multiply".
-
-    Daylight realized values alternate 5e-324 and 1.0 and predict 0.0, so a
-    calibration ratio overflows to an infinite multiplier.
-    """
-    track_csv, band_csv = tmp_path / "track.csv", tmp_path / "band.csv"
-    _subnormal_track_csv(track_csv)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run("bands", "--input", str(track_csv), "--output", str(band_csv),
-                   "--eps-day", "0") == cli.EXIT_DATA
-    assert "NonFiniteError: width multiplier at index 1440 is inf, not finite" in capsys.readouterr().err
-    assert not band_csv.exists()
 
 
 @pytest.fixture(scope="module")
@@ -1046,3 +973,63 @@ def test_a_write_cut_by_the_file_size_limit_leaves_its_target_as_it_was(contract
     assert child.stdout == ""  # bands prints its multiplier history only once band.csv is in place
     assert _snapshot(tmp_path) == ({"out": b"kept\n"} if existed else {})  # no temporary file
     assert list(tmp_path.iterdir()) == ([out] if existed else [])
+
+
+_STDOUT_CLOSED = "solarband {}: OSError: stdout is closed\n"
+
+
+@pytest.mark.parametrize("sub, code", [("synth", 0), ("forecast", 0), ("bands", 3), ("normtest", 3),
+                                       ("report", 0), ("lilliefors-table", 0)])
+def test_a_run_with_stdout_closed_prints_nothing_or_writes_nothing(contract_inputs, tmp_path, capsys,
+                                                                   monkeypatch, sub, code):
+    """Each ended in an AttributeError traceback, exit 1; bands had renamed band.csv into place first.
+
+    A run with nothing to print succeeds; one with text to print is a data error and writes no file.
+    """
+    inputs, _ = contract_inputs
+    out = tmp_path / "out"
+    argv = _contract_argv(inputs, sub) + ([] if sub == "normtest" else [f"--output={out}"])
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run(*argv) == code
+    assert capsys.readouterr().err == ("" if code == cli.EXIT_OK else _STDOUT_CLOSED.format(sub))
+    assert list(tmp_path.iterdir()) == ([out] if code == cli.EXIT_OK else [])
+
+
+@pytest.mark.parametrize("sub, code", [("synth", 0), ("bands", 3)])
+def test_a_child_with_fd_1_closed_prints_nothing_or_writes_nothing(contract_inputs, tmp_path, sub, code):
+    """As a child started with fd 1 closed (``>&-``), where Python sets ``sys.stdout`` to None."""
+    inputs, _ = contract_inputs
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "solarband.cli", *_contract_argv(inputs, sub), f"--output={out}"]
+    child = subprocess.run(argv, env=_child_env(), stderr=subprocess.PIPE, text=True, timeout=300,
+                           preexec_fn=lambda: os.close(1))
+    assert child.returncode == code
+    assert child.stderr == ("" if code == cli.EXIT_OK else _STDOUT_CLOSED.format(sub))
+    assert list(tmp_path.iterdir()) == ([out] if code == cli.EXIT_OK else [])
+
+
+@pytest.mark.parametrize("flags, code", [((), cli.EXIT_OK), (("--window-days", "0"), cli.EXIT_DATA),
+                                         (("--recal-every", str(2**63)), cli.EXIT_UNCALIBRATABLE),
+                                         (("--horizon", "30"), cli.EXIT_USAGE)],
+                         ids=["ok", "data-error", "uncalibratable", "usage-error"])
+def test_entrypoint_freezes_the_collector_once_on_every_way_out(contract_inputs, tmp_path, capsys,
+                                                                monkeypatch, flags, code):
+    """Exit-time collections over numpy's and scipy's import-time objects took most of a short run."""
+    inputs, _ = contract_inputs
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    monkeypatch.setattr(sys, "argv", ["solarband", "bands", f"--input={inputs / 'track.csv'}",
+                                      f"--output={tmp_path / 'band.csv'}", *flags])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == code
+    assert freezes == [1]
+
+
+def test_main_never_freezes_the_collector(contract_inputs, capsys):
+    """What main froze in an in-process caller, a test or a library user, would never be collected."""
+    inputs, _ = contract_inputs
+    before = gc.get_freeze_count()
+    assert run("normtest", f"--input={inputs / 'track.csv'}") == cli.EXIT_OK
+    assert run("normtest", f"--input={inputs / 'missing.csv'}") == cli.EXIT_DATA
+    assert gc.get_freeze_count() == before
