@@ -10,6 +10,7 @@ codes: 0 success, 2 usage error, 3 data error, 4 uncalibratable window.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import re
@@ -173,14 +174,16 @@ def _cmd_lilliefors_table(args: argparse.Namespace) -> Texts:
 
 
 def _write_all(texts: Texts, out: Path | None) -> None:
-    """Write each text to its target, all or none, then the text keyed None to stdout.
+    """Write each text to its target and the text keyed None to stdout, all or none.
 
-    Each goes to a temporary file beside its target, renamed once all are complete.
+    Each text goes to a temporary file beside its target. Once all are complete,
+    stdout is written and flushed, and then the temporary files are renamed.
     A text for stdout while stdout is closed (``sys.stdout`` is None, as when fd 1
     was closed at start) is an OSError, raised before any file is written.
     ``out`` (--output) is a target or the directory that holds them, made here if
     missing. A failure removes the temporary files and a directory made here: only
-    a failed rename (rare within one directory) keeps the targets it already replaced.
+    a failed rename (rare within one directory) keeps the targets it already replaced,
+    and stdout already printed.
     """
     stdout = texts.pop(None, "")
     if stdout and sys.stdout is None:
@@ -196,6 +199,8 @@ def _write_all(texts: Texts, out: Path | None) -> None:
         for target, text in texts.items():
             temps.append(target.with_name(f".{target.name}.{os.getpid()}.tmp"))  # only a dead run can own it
             temps[-1].write_text(text)
+        if stdout:
+            _print(stdout)
         for temp, target in zip(temps, texts):
             os.replace(temp, target)
     except BaseException:
@@ -204,8 +209,22 @@ def _write_all(texts: Texts, out: Path | None) -> None:
         if made and not any(out.iterdir()):
             out.rmdir()
         raise
-    if stdout:
-        sys.stdout.write(stdout)
+
+
+def _print(text: str) -> None:
+    """Write text to stdout and flush it; after a broken pipe, fd 1 is os.devnull.
+
+    The interpreter flushes stdout again at exit, where what the pipe refused
+    would raise a second time (see "Note on SIGPIPE" in the ``signal`` docs).
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +308,22 @@ def main(argv: list[str] | None = None) -> int:
             raise FileNotFoundError(f"no directory {args.output.parent} to hold --output")
         _write_all(args.func(args), args.output)
     except bands_mod.UncalibratableWindowError as exc:
-        print(f"solarband {args.subcommand}: uncalibratable window: {exc}", file=sys.stderr)
-        return EXIT_UNCALIBRATABLE
+        return _fail(f"solarband {args.subcommand}: uncalibratable window: {exc}",
+                     EXIT_UNCALIBRATABLE)
     except (ValueError, OSError) as exc:  # SeriesCsvError and TrackCsvError included
-        print(f"solarband {args.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(f"solarband {args.subcommand}: {type(exc).__name__}: {exc}", EXIT_DATA)
     return EXIT_OK
+
+
+def _fail(line: str, code: int) -> int:
+    """Print line to stderr and return code, also when stderr is closed and the line is lost.
+
+    With fd 2 closed at start ``sys.stderr`` is None, where print would fall back to stdout.
+    """
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

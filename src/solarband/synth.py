@@ -35,6 +35,7 @@ _BROKEN = {
     "lo": CLOUD_FLOOR,
     "hi": CLOUD_CEIL,
 }
+_PROCESS = {"clear": _CLEAR, "broken": _BROKEN, "overcast": _OVERCAST}
 
 
 @dataclass(frozen=True)
@@ -85,33 +86,43 @@ def clear_sky_curve(cfg: SynthConfig) -> np.ndarray:
     return elevation.ravel()
 
 
-# Minutes per lane of the side-by-side recurrence. Its warm-up forgets a wrong
-# start by a factor rho**_LANE, 0.97**2048 (about 1e-27) at the largest rho.
+# Minutes per lane of the side-by-side recurrence at the largest rho. Its warm-up
+# forgets a wrong start by a factor rho**_LANE, 0.97**2048 (about 1e-27).
 _LANE = 2048
 # Dwell times drawn from the generator at a time.
 _DRAWS = 4096
 
 
-def _ar1_noise(shocks: np.ndarray, rho: float, sigma: float) -> np.ndarray:
+def _lane(rho: float) -> int:
+    """The fewest minutes over which rho forgets a wrong start at least as much as
+    the overcast rho does over _LANE: 280 for broken, 593 for clear, _LANE for overcast.
+
+    Read at call time, so that a patched _LANE shrinks every regime's lane.
+    """
+    return math.ceil(_LANE * (math.log(_OVERCAST["rho"]) / math.log(rho)))
+
+
+def _ar1_noise(by_lane: np.ndarray, rho: float, sigma: float) -> np.ndarray:
     """noise[k] = rho * noise[k - 1] + sigma * shocks[k] from noise 0, in place.
 
-    shocks holds whole lanes of _LANE minutes, a short track padded with zero
-    shocks. The lanes run side by side, one numpy step per minute of a lane:
-    y *= rho, then y += step, the two separately rounded operations of the
-    per-minute loop. Lane 0 starts from the loop's exact 0. Each other lane
-    starts from a guess, first the state a read-only warm-up reaches from 0
-    over the previous lane's steps. While a guess differs, bit for bit, from
-    the previous lane's last value, the guesses take those last values, the
-    steps are rebuilt from shocks and the lanes run again. Then by induction
-    every sample is the loop's: a lane that starts from the loop's exact
-    state takes the loop's steps from it, so it ends on the loop's exact
-    state, which is the next lane's start. Each round makes at least one more
-    lane's start exact, so there are at most as many rounds as lanes.
+    by_lane holds the shocks one lane of _lane(rho) minutes per row, a short
+    track padded with zero shocks. The lanes run side by side, one numpy step
+    per minute of a lane: y *= rho, then y += step, the two separately rounded
+    operations of the per-minute loop. Lane 0 starts from the loop's exact 0.
+    Each other lane starts from a guess, first the state a read-only warm-up
+    reaches from 0 over the previous lane's steps. While a guess differs, bit
+    for bit, from the previous lane's last value, the guesses take those last
+    values, the steps are rebuilt from the shocks and the lanes run again.
+    Then by induction every sample is the loop's: a lane that starts from the
+    loop's exact state takes the loop's steps from it, so it ends on the
+    loop's exact state, which is the next lane's start. Each round makes at
+    least one more lane's start exact, so there are at most as many rounds as
+    lanes. A lane of _lane(rho) minutes forgets a wrong start as much as the
+    overcast lane does, so a year merges in one round in every regime.
     """
-    lanes = shocks.size // _LANE
-    by_lane = shocks.reshape(lanes, _LANE)
+    lanes, lane = by_lane.shape
     # Row j holds minute j of every lane: its steps, then its noise.
-    by_minute = np.multiply(by_lane.T, sigma, out=np.empty((_LANE, lanes)))
+    by_minute = np.multiply(by_lane.T, sigma, out=np.empty((lane, lanes)))
     start = np.zeros(lanes)
     guess = start[1:]
     if guess.size:  # a single lane has no start to guess
@@ -131,7 +142,7 @@ def _ar1_noise(shocks: np.ndarray, rho: float, sigma: float) -> np.ndarray:
         guess[:] = ends
         np.multiply(by_lane.T, sigma, out=by_minute)
     by_lane[...] = by_minute.T
-    return shocks
+    return by_lane
 
 
 def _broken_levels(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -185,16 +196,13 @@ def _broken_levels(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _cloud_factor(cfg: SynthConfig, n: int) -> np.ndarray:
+    p = _PROCESS[cfg.cloud_regime]
+    lane = _lane(p["rho"])
     rng = np.random.default_rng(cfg.seed)
-    shocks = np.zeros(-(-n // _LANE) * _LANE)  # zero shocks pad the last lane
-    rng.standard_normal(out=shocks[:n])
-    if cfg.cloud_regime == "broken":
-        p = _BROKEN
-        level = _broken_levels(rng, n)
-    else:
-        p = _CLEAR if cfg.cloud_regime == "clear" else _OVERCAST
-        level = p["level"]
-    factor = _ar1_noise(shocks, p["rho"], p["sigma"])[:n]
+    shocks = np.zeros((-(-n // lane), lane))  # zero shocks pad the last lane
+    rng.standard_normal(out=shocks.reshape(-1)[:n])
+    level = _broken_levels(rng, n) if p is _BROKEN else p["level"]
+    factor = _ar1_noise(shocks, p["rho"], p["sigma"]).reshape(-1)[:n]
     np.add(level, factor, out=factor)
     return np.clip(factor, p["lo"], p["hi"], out=factor)
 

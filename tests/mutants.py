@@ -187,6 +187,13 @@ MUTANTS = (
         ("tests/test_synth.py::test_lanes_that_cannot_merge_rerun_the_whole_track",),
     ),
     Mutant(
+        "every-regime-runs-the-overcast-lane",
+        "src/solarband/synth.py",
+        '    return math.ceil(_LANE * (math.log(_OVERCAST["rho"]) / math.log(rho)))\n',
+        "    return _LANE\n",
+        ("tests/test_synth.py::test_each_lane_is_the_shortest_that_forgets_as_much_as_the_overcast_lane",),
+    ),
+    Mutant(
         "dwell-scales-swapped",
         "src/solarband/synth.py",
         'np.resize([p["dwell_high"], p["dwell_low"]], _DRAWS + 1)',
@@ -223,6 +230,27 @@ MUTANTS = (
         '        raise OSError("stdout is closed")\n',
         "",
         ("tests/test_cli.py::test_a_run_with_stdout_closed_prints_nothing_or_writes_nothing",),
+    ),
+    Mutant(
+        "stdout-written-after-the-renames",
+        "src/solarband/cli.py",
+        "        if stdout:\n"
+        "            _print(stdout)\n"
+        "        for temp, target in zip(temps, texts):\n"
+        "            os.replace(temp, target)\n",
+        "        for temp, target in zip(temps, texts):\n"
+        "            os.replace(temp, target)\n"
+        "        if stdout:\n"
+        "            _print(stdout)\n",
+        ("tests/test_cli.py::test_a_child_whose_stdout_pipe_is_broken_writes_no_file",),
+    ),
+    Mutant(
+        "an-error-line-to-a-closed-stderr-raises",
+        "src/solarband/cli.py",
+        "        with contextlib.suppress(OSError):\n"
+        "            print(line, file=sys.stderr)\n",
+        "        print(line, file=sys.stderr)\n",
+        ("tests/test_cli.py::test_a_failed_child_with_fd_2_closed_exits_with_its_code",),
     ),
     Mutant(
         "collector-frozen-in-main",

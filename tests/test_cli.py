@@ -970,7 +970,7 @@ def test_a_write_cut_by_the_file_size_limit_leaves_its_target_as_it_was(contract
                            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100)))
     assert child.returncode == cli.EXIT_DATA, child.stderr
     assert "File too large" in child.stderr
-    assert child.stdout == ""  # bands prints its multiplier history only once band.csv is in place
+    assert child.stdout == ""  # bands prints its multiplier history once band.csv's temporary file is whole
     assert _snapshot(tmp_path) == ({"out": b"kept\n"} if existed else {})  # no temporary file
     assert list(tmp_path.iterdir()) == ([out] if existed else [])
 
@@ -1006,6 +1006,53 @@ def test_a_child_with_fd_1_closed_prints_nothing_or_writes_nothing(contract_inpu
     assert child.returncode == code
     assert child.stderr == ("" if code == cli.EXIT_OK else _STDOUT_CLOSED.format(sub))
     assert list(tmp_path.iterdir()) == ([out] if code == cli.EXIT_OK else [])
+
+
+def test_a_child_whose_stdout_pipe_is_broken_writes_no_file(contract_inputs, tmp_path):
+    """bands exited 3 on the broken pipe, but only after band.csv was renamed into place."""
+    inputs, _ = contract_inputs
+    out = tmp_path / "band.csv"
+    argv = [sys.executable, "-m", "solarband.cli", *_contract_argv(inputs, "bands"), f"--output={out}"]
+    read, write = os.pipe()
+    os.close(read)  # before the spawn, so the child's first write to stdout is sure to fail
+    try:
+        child = subprocess.run(argv, env=_child_env(), stdout=write, stderr=subprocess.PIPE,
+                               text=True, timeout=300)
+    finally:
+        os.close(write)
+    assert child.returncode == cli.EXIT_DATA
+    assert child.stderr.startswith("solarband bands: BrokenPipeError: ")
+    assert child.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+_CLOSE_FD_2 = {
+    # Python finds fd 2 closed and sets sys.stderr to None, where print falls back to stdout
+    "at-spawn": ([sys.executable, "-m", "solarband.cli"], lambda: os.close(2)),
+    # sys.stderr wraps a closed fd, as when a launcher script held fd 2 as the interpreter started
+    "after-start": ([sys.executable, "-c", "import os; os.close(2); "
+                     "from solarband.cli import entrypoint; entrypoint()"], None),
+}
+
+
+@pytest.mark.parametrize("closed", sorted(_CLOSE_FD_2))
+@pytest.mark.parametrize("sub, flags, code", [
+    ("forecast", ["--input=missing.csv"], cli.EXIT_DATA),
+    ("bands", ["--recal-every", str(2**63)], cli.EXIT_UNCALIBRATABLE),
+])
+def test_a_failed_child_with_fd_2_closed_exits_with_its_code(contract_inputs, tmp_path, sub, flags,
+                                                             code, closed):
+    """Closed after start, printing the error line raised OSError and the run exited 1;
+    closed at spawn, the error line went to stdout."""
+    inputs, _ = contract_inputs
+    out = tmp_path / "out"
+    launch, preexec = _CLOSE_FD_2[closed]
+    argv = [*launch, *_contract_argv(inputs, sub), *flags, f"--output={out}"]
+    child = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=300,
+                           cwd=tmp_path, preexec_fn=preexec)
+    assert child.returncode == code
+    assert child.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags, code", [((), cli.EXIT_OK), (("--window-days", "0"), cli.EXIT_DATA),

@@ -1,4 +1,4 @@
-"""The minute-grid CSV codec: round trips, the writer against a row-loop reference, reader errors."""
+"""The minute-grid CSV codec: round trips, writer and reader against row-loop references, reader errors."""
 
 import math
 from datetime import datetime, timedelta, timezone
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import reference_read_grid_csv
 
 from solarband import cli
 from solarband import series as series_mod
@@ -162,8 +163,8 @@ def read_track(text):
 
 
 K = ROW - 1  # grid index of the defective row when its stamp is in place
-# (name, the defect its message names, series row, track row): rows the per-row
-# strptime/float reader rejected
+# (name, the defect its message names, series row, track row): rows that the reader
+# rejected when it parsed each row with strptime and float, as it did before it was vectorized
 REJECTED = [
     ("fields", "wrong field count", f"{stamp(K)},1,2", f"{stamp(K)},1"),
     ("empty line", "wrong field count", "", ""),
@@ -308,7 +309,7 @@ SMALL_TRACK = cli.write_forecast_csv(
     ForecastTrack(T0, 60, [np.nan, 3.0, 4.5, np.nan, 7.0], [1.0, np.nan, 2.0, np.nan, 0.0])
 )
 # Characters of the format and its near misses, then any character at all.
-EDIT_CHARS = st.sampled_from("0123456789,.-+:TZtzeEinfa \n\r\0") | st.characters()
+EDIT_CHARS = st.sampled_from("0123456789,.-+:TZtzeEinfa_ \t\v\f\n\r\0") | st.characters()
 
 
 @st.composite
@@ -332,3 +333,34 @@ def test_a_mutated_file_parses_or_raises_a_format_error(read, text, data):
         read(data.draw(mutated(text)))
     except SeriesCsvError:
         pass
+
+
+def read_outcome(read, text, header, empty_is_gap):
+    """The start and column bits that read gives text, or the message it raises."""
+    try:
+        got = read(text, header, empty_is_gap=empty_is_gap)
+    except SeriesCsvError as exc:
+        return str(exc)
+    if isinstance(got, str):
+        return got
+    start, columns = got
+    return start, [column.tobytes() for column in columns]
+
+
+def read_grid_csv_as_series_error(text, header, empty_is_gap):
+    return read_grid_csv(text, header, SeriesCsvError, empty_is_gap=empty_is_gap)
+
+
+@pytest.mark.parametrize("text, header, empty_is_gap",
+                         [(SMALL_SERIES, CSV_HEADER, False), (SMALL_TRACK, cli.FORECAST_CSV_HEADER, True)],
+                         ids=["series", "track"])
+@given(data=st.data())
+@settings(max_examples=1000, deadline=None, database=None)
+def test_mutated_rows_read_as_the_row_loop_reads_them(text, header, empty_is_gap, data):
+    """An accepted file has the row loop's start and bits; a refused one, its line and defect.
+
+    The edits fall after the header line, so that each draw reaches the row checks.
+    """
+    edited = header + "\n" + data.draw(mutated(text[len(header) + 1 :]))
+    assert read_outcome(read_grid_csv_as_series_error, edited, header, empty_is_gap) == \
+        read_outcome(reference_read_grid_csv, edited, header, empty_is_gap)

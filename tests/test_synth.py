@@ -143,16 +143,36 @@ def reference_cloud_factor(cfg, n):
     return factor
 
 
+def lane_of(regime):
+    return synth._lane(synth._PROCESS[regime]["rho"])
+
+
+@pytest.mark.parametrize("regime, lane", [("clear", 593), ("broken", 280), ("overcast", 2048)])
+def test_each_lane_is_the_shortest_that_forgets_as_much_as_the_overcast_lane(regime, lane):
+    # a wrong lane start shrinks by rho**lane: by at least 0.97**2048, and by less one minute shorter
+    rho = synth._PROCESS[regime]["rho"]
+    assert lane_of(regime) == lane
+    assert rho**lane <= 0.97**2048 < rho ** (lane - 1)
+    assert lane_of("overcast") == synth._LANE
+
+
+def at_the_lane_edges(test):
+    """Examples one minute short of, at and past each regime's lane, and 5 lanes and 7 minutes."""
+    seeds = itertools.count(7)
+    for regime in REGIMES:
+        lane = lane_of(regime)
+        for n in (lane - 1, lane, lane + 1, 5 * lane + 7):
+            test = example(regime=regime, seed=next(seeds), n=n)(test)
+    return test
+
+
 @given(
     regime=st.sampled_from(REGIMES),
     seed=st.integers(0, 2**64),
     n=st.integers(1, 20_000),
 )
 @example(regime="broken", seed=3, n=1)
-@example(regime="overcast", seed=7, n=synth._LANE - 1)
-@example(regime="broken", seed=8, n=synth._LANE)
-@example(regime="clear", seed=9, n=synth._LANE + 1)
-@example(regime="overcast", seed=10, n=5 * synth._LANE + 7)
+@at_the_lane_edges
 @settings(max_examples=80, deadline=None, database=None)
 def test_cloud_factor_is_the_per_minute_loop_bit_for_bit(regime, seed, n):
     cfg = SynthConfig(cloud_regime=regime, seed=seed)
@@ -167,12 +187,23 @@ def test_cloud_factor_is_the_per_minute_loop_over_a_year(regime):
 
 
 def test_lanes_that_cannot_merge_rerun_the_whole_track(monkeypatch):
-    # 0.97**8 is about 0.78: eight minutes of warm-up cannot forget a wrong start,
+    # 0.97**8 is about 0.78: lanes of 3, 2 and 8 minutes cannot forget a wrong start,
     # so the lanes run again from the corrected starts until every start agrees
     monkeypatch.setattr(synth, "_LANE", 8)
-    cfg = SynthConfig(cloud_regime="overcast", seed=13)
-    for n in (1, 7, 8, 9, 47, 1000):
-        assert synth._cloud_factor(cfg, n).tobytes() == reference_cloud_factor(cfg, n).tobytes()
+    widths = []  # the lane length of each call: every regime's lane is read from _LANE at call time
+    ar1_noise = synth._ar1_noise
+
+    def recorded(by_lane, rho, sigma):
+        widths.append(by_lane.shape[1])
+        return ar1_noise(by_lane, rho, sigma)
+
+    monkeypatch.setattr(synth, "_ar1_noise", recorded)
+    for regime, lane in (("clear", 3), ("broken", 2), ("overcast", 8)):
+        cfg = SynthConfig(cloud_regime=regime, seed=13)
+        for n in (1, lane - 1, lane, lane + 1, 47, 1000):
+            got, want = synth._cloud_factor(cfg, n), reference_cloud_factor(cfg, n)
+            assert got.tobytes() == want.tobytes(), (regime, n)
+            assert widths.pop() == lane, (regime, n)
 
 
 def solar_elevation_sine(latitude, day_of_year, minute_of_day):
