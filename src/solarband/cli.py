@@ -152,9 +152,9 @@ def _cmd_normtest(args: argparse.Namespace) -> Texts:
 
 def _cmd_report(args: argparse.Namespace) -> Texts:
     series = ingest_csv(Path(args.input).read_text())
-    if bool(args.zoom_from) != bool(args.zoom_to):
+    if (args.zoom_from is None) != (args.zoom_to is None):
         raise ValueError("--from and --to must be given together")
-    zoom = (parse_timestamp(args.zoom_from), parse_timestamp(args.zoom_to)) if args.zoom_from else None
+    zoom = None if args.zoom_from is None else (parse_timestamp(args.zoom_from), parse_timestamp(args.zoom_to))
     report.zoom_range(series, zoom)  # a bad zoom fails before the pipeline runs
     track = _forecast(series, args)
     mask = series_mod.daylight_mask(series, args.eps_day)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import chi2
 
-from .series import in_blocks
+from .series import format_value, in_blocks
 
 DEFAULT_LEVEL = 0.05
 MIN_SAMPLES = 8
@@ -259,27 +259,22 @@ def normtests(x: np.ndarray, level: float = DEFAULT_LEVEL) -> list[NormalityRepo
 
 
 def generate_table(
-    seed: int = TABLE_SEED,
-    replicates: int = TABLE_REPLICATES,
-    sizes: list[int] | None = None,
+    seed: int = TABLE_SEED, replicates: int = TABLE_REPLICATES
 ) -> list[tuple[int, float, float]]:
     """Simulate null critical values for the estimated-parameter test.
 
-    For each sample size, ``replicates`` standard-normal samples are drawn,
-    the statistic computed by :func:`lilliefors_statistic` itself, and
-    critical values read off as conservative order statistics. Each size gets
-    its own child seed, so per-size results do not depend on which sizes are
-    requested together. A size below MIN_SAMPLES is a ValueError before any draw.
+    For each of the ``TABLE_SIZES``, ``replicates`` standard-normal samples
+    are drawn, the statistic computed by :func:`lilliefors_statistic` itself,
+    and critical values read off as conservative order statistics. Each size
+    gets its own child seed, so per-size results do not depend on which sizes
+    are tabulated together.
     """
     if not 1000 <= replicates <= MAX_REPLICATES:
         raise ValueError(f"replicates must be in [1000, {MAX_REPLICATES}] for a usable quantile")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    sizes = list(TABLE_SIZES) if sizes is None else sorted(sizes)
-    if sizes and sizes[0] < MIN_SAMPLES:
-        raise ValueError(f"table sizes need at least {MIN_SAMPLES} samples, got {sizes[0]}")
     rows: list[tuple[int, float, float]] = []
-    for n in sizes:
+    for n in TABLE_SIZES:
         rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
         stats = np.empty(replicates)
         done = 0
@@ -298,7 +293,7 @@ def generate_table(
 def format_table(rows: list[tuple[int, float, float]]) -> str:
     lines = [TABLE_HEADER]
     for n, level, critical in rows:
-        lines.append(f"{n},{level},{critical!r}")
+        lines.append(f"{n},{format_value(level)},{format_value(critical)}")
     return "\n".join(lines) + "\n"
 
 

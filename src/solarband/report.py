@@ -192,8 +192,8 @@ def _polylines(parts: list[str], xs, ys, sx, sy, cls: str, style: str) -> None:
 
 def render_series_svg(
     series: IrradianceSeries,
-    forecast: ForecastTrack | None,
-    band: BandTrack | None,
+    forecast: ForecastTrack,
+    band: BandTrack,
     lo: int,
     hi: int,
     title: str,
@@ -201,11 +201,7 @@ def render_series_svg(
     """Measured series in blue, prediction in red, band frontiers black dashed."""
     if not 0 <= lo < hi <= len(series):
         raise EmptyRangeError(f"range [{lo}, {hi}) is empty or out of bounds")
-    candidates = [series.values[lo:hi]]
-    if forecast is not None:
-        candidates.append(forecast.predicted[lo:hi])
-    if band is not None:
-        candidates.append(band.upper[lo:hi])
+    candidates = (series.values[lo:hi], forecast.predicted[lo:hi], band.upper[lo:hi])
     finite = [c[np.isfinite(c)] for c in candidates]
     y_hi = max((float(c.max()) for c in finite if c.size), default=1.0)
     y_hi = y_hi if y_hi > 0 else 1.0
@@ -217,24 +213,22 @@ def render_series_svg(
         _x_tick(parts, sx(k), series.time_at(k).strftime("%m-%d %H:%M"))
 
     xs = np.arange(lo, hi)
-    if band is not None:
-        dash = 'stroke="black" stroke-dasharray="6,4"'
-        _polylines(parts, xs, band.lower[lo:hi], sx, sy, "band-lower", dash)
-        _polylines(parts, xs, band.upper[lo:hi], sx, sy, "band-upper", dash)
+    dash = 'stroke="black" stroke-dasharray="6,4"'
+    _polylines(parts, xs, band.lower[lo:hi], sx, sy, "band-lower", dash)
+    _polylines(parts, xs, band.upper[lo:hi], sx, sy, "band-upper", dash)
     _polylines(parts, xs, series.values[lo:hi], sx, sy, "measured", 'stroke="blue"')
-    if forecast is not None:
-        _polylines(parts, xs, forecast.predicted[lo:hi], sx, sy, "predicted", 'stroke="red"')
+    _polylines(parts, xs, forecast.predicted[lo:hi], sx, sy, "predicted", 'stroke="red"')
     parts.append("</svg>\n")
     return "\n".join(parts)
 
 
-def render_histogram_svg(hist: Histogram, title: str) -> str:
-    """Error histogram as blue bars with the fitted normal curve in red."""
+def render_histogram_svg(hist: Histogram) -> str:
+    """Forecast-error histogram as blue bars with the fitted normal curve in red."""
     x_lo = float(hist.bin_edges[0])
     x_hi = float(hist.bin_edges[-1])
     y_hi = max(float(hist.counts.max()), float(hist.curve_y.max()), 1.0)
 
-    parts, sx, sy = _frame(title, x_lo, x_hi, y_hi, "count")
+    parts, sx, sy = _frame("forecast error distribution", x_lo, x_hi, y_hi, "count")
 
     step = _nice_step(x_hi - x_lo)
     tick = math.ceil(x_lo / step) * step
@@ -271,8 +265,8 @@ def zoom_range(series: IrradianceSeries, zoom: tuple[datetime, datetime] | None 
 
 def emit_plot(
     series: IrradianceSeries,
-    forecast: ForecastTrack | None,
-    band: BandTrack | None,
+    forecast: ForecastTrack,
+    band: BandTrack,
     kind: str,
     zoom: tuple[datetime, datetime] | None = None,
     mask: DaylightMask | None = None,
@@ -285,15 +279,14 @@ def emit_plot(
     """
     if kind not in PLOT_KINDS:
         raise ValueError(f"kind must be one of {PLOT_KINDS}")
-    check_aligned(series, *(track for track in (forecast, band, mask) if track is not None))
+    check_aligned(series, forecast, band, *([] if mask is None else [mask]))
     if kind == "histogram":
-        if forecast is None or mask is None:
-            raise ValueError("histogram kind needs a forecast track and a daylight mask")
+        if mask is None:
+            raise ValueError("histogram kind needs a daylight mask")
         sample = daylight_errors(forecast, mask)
         if sample.size == 0:
             raise NoRecordsError("no daylight forecast errors to bin")
-        hist = diff_histogram(sample, HISTOGRAM_BINS)
-        return render_histogram_svg(hist, "forecast error distribution")
+        return render_histogram_svg(diff_histogram(sample, HISTOGRAM_BINS))
     if kind == "zoom":
         lo, hi = zoom_range(series, zoom)
         return render_series_svg(series, forecast, band, lo, hi, "irradiance (zoom)")

@@ -263,6 +263,17 @@ MUTANTS = (
         "    try:\n        return _main(argv)\n    finally:\n        gc.freeze()\n",
         ("tests/test_cli.py::test_main_never_freezes_the_collector",),
     ),
+    Mutant(
+        "empty-zoom-flag-reads-as-absent",
+        "src/solarband/cli.py",
+        "    if (args.zoom_from is None) != (args.zoom_to is None):\n"
+        "        raise ValueError(\"--from and --to must be given together\")\n"
+        "    zoom = None if args.zoom_from is None else",
+        "    if bool(args.zoom_from) != bool(args.zoom_to):\n"
+        "        raise ValueError(\"--from and --to must be given together\")\n"
+        "    zoom = None if not args.zoom_from else",
+        ("tests/test_cli.py::test_bad_zoom_writes_nothing",),
+    ),
 )
 
 

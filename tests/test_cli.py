@@ -518,17 +518,22 @@ def test_calibration_flags_checked_without_a_recalibration_point(tmp_path):
         assert run("bands", "--input", str(track_csv), "--output", band_csv, *flags) == cli.EXIT_DATA
 
 
-def test_bad_zoom_writes_nothing(tmp_path):
+def test_bad_zoom_writes_nothing(tmp_path, capsys):
+    """An empty --from and --to drew the default zoom, and an empty --from alone blamed the pairing."""
     series_csv = tmp_path / "series.csv"
     run("synth", "--output", str(series_csv), "--days", "4", "--regime", "broken", "--seed", "12")
     outdir = tmp_path / "out"
     outdir.mkdir()
-    for zoom in (
-        ("--from", "2022-01-01T00:00:00Z", "--to", "2022-01-02T00:00:00Z"),  # empty window
-        ("--from", "2021-05-30T12:00:00Z"),  # half a range
-        ("--from", "2021-05-30T12:00:30Z", "--to", "2021-05-31T00:00:00Z"),  # off the minute grid
+    capsys.readouterr()
+    for zoom, error in (
+        (("--from", "2022-01-01T00:00:00Z", "--to", "2022-01-02T00:00:00Z"), "EmptyRangeError: zoom range"),
+        (("--from", "2021-05-30T12:00:00Z"), "ValueError: --from and --to must be given together"),
+        (("--from", "2021-05-30T12:00:30Z", "--to", "2021-05-31T00:00:00Z"), "is not on the minute grid"),
+        (("--from", "", "--to", ""), "SeriesCsvError: malformed timestamp ''"),
+        (("--from", "", "--to", "2021-05-31T18:00:00Z"), "SeriesCsvError: malformed timestamp ''"),
     ):
         assert run("report", "--input", str(series_csv), "--output", str(outdir), *zoom) == cli.EXIT_DATA
+        assert error in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
 

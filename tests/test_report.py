@@ -165,6 +165,12 @@ def _pipeline_pieces():
     return run_pipeline_with_band(days=3, regime="broken", seed=20)
 
 
+def _blank_tracks(series):
+    """A forecast and a band on the series' grid with no defined sample: only the series draws."""
+    blank = np.full(len(series), np.nan)
+    return _track(blank, blank, series.start_time), _band(blank, blank, start=series.start_time)
+
+
 def test_svg_deterministic():
     series, track, _, _, band = _pipeline_pieces()
     a = emit_plot(series, track, band, "monthly")
@@ -186,7 +192,7 @@ def test_polyline_points_match_defined_samples():
 def test_polyline_points_with_gaps():
     values = np.array([1.0, 2.0, np.nan, 4.0, 5.0, np.nan, 7.0])
     series = make_series(values)
-    svg = render_series_svg(series, None, None, 0, len(series), "t")
+    svg = render_series_svg(series, *_blank_tracks(series), 0, len(series), "t")
     assert _measured_point_count(svg) == 5
     assert svg.count('class="measured"') == 3  # three contiguous runs
 
@@ -224,13 +230,14 @@ def test_default_zoom_is_the_final_48_hours_or_the_whole_series():
     assert report.zoom_range(series) == (len(series) - 2880, len(series))
     short = make_series(series.values[:2000], series.start_time)
     whole = (short.start_time, short.start_time + timedelta(minutes=2000))
-    assert emit_plot(short, None, None, "zoom") == emit_plot(short, None, None, "zoom", zoom=whole)
+    blank = _blank_tracks(short)
+    assert emit_plot(short, *blank, "zoom") == emit_plot(short, *blank, "zoom", zoom=whole)
     assert report.zoom_range(short) == (0, 2000)
 
 
 def test_histogram_needs_an_aligned_mask():
     series, track, _, mask, band = _pipeline_pieces()
-    with pytest.raises(ValueError, match="histogram kind needs a forecast track and a daylight mask"):
+    with pytest.raises(ValueError, match="^histogram kind needs a daylight mask$"):
         emit_plot(series, track, band, "histogram")
     late_mask = replace(mask, start_time=mask.start_time + timedelta(days=1))
     with pytest.raises(ValueError, match="tracks are not aligned"):
@@ -260,7 +267,8 @@ def test_subnormal_peak_plots_a_single_tick():
     """A peak whose tick step underflows once crashed (5e-324) or looped forever (3e-323)."""
     for peak in (5e-324, 3e-323):
         assert report._nice_step(peak) == 1.0
-        svg = render_series_svg(make_series([0.0, peak]), None, None, 0, 2, "t")
+        series = make_series([0.0, peak])
+        svg = render_series_svg(series, *_blank_tracks(series), 0, 2, "t")
         assert svg.count('text-anchor="end">') == 2  # the tick at 0 and the axis label
 
 
@@ -279,7 +287,7 @@ def test_plots_refuse_tracks_not_aligned_with_the_series():
     short_track = replace(track, predicted=track.predicted[:3000], realized=track.realized[:3000])
     zoom = (series.start_time, series.start_time + day)
     for kind in report.PLOT_KINDS:
-        for forecast, frontiers in ((late_track, late_band), (track, late_band), (short_track, None)):
+        for forecast, frontiers in ((late_track, late_band), (track, late_band), (short_track, band)):
             with pytest.raises(ValueError, match="tracks are not aligned"):
                 emit_plot(series, forecast, frontiers, kind, zoom=zoom)
 
@@ -320,12 +328,9 @@ def gappy_values(draw, n):
 def series_plot_args(draw):
     n = draw(st.integers(1, 120))
     series = make_series(draw(gappy_values(n)))
-    forecast = band = None
-    if draw(st.booleans()):
-        forecast = _track(draw(gappy_values(n)), series.values)
-    if draw(st.booleans()):
-        lower = draw(gappy_values(n))
-        band = _band(lower, lower + np.nan_to_num(draw(gappy_values(n))))
+    forecast = _track(draw(gappy_values(n)), series.values)
+    lower = draw(gappy_values(n))
+    band = _band(lower, lower + np.nan_to_num(draw(gappy_values(n))))
     lo = draw(st.integers(0, n - 1))
     hi = draw(st.one_of(st.just(lo + 1), st.integers(lo + 1, n)))  # single samples too
     return series, forecast, band, lo, hi, "t"
@@ -365,4 +370,4 @@ def test_histogram_svg_equals_per_point_reference(sample, bins):
         lo, hi = min(sample), max(sample)
         assert hi - lo < 4 * bins * np.spacing(max(abs(lo), abs(hi)))
         return
-    assert render_histogram_svg(hist, "h") == _with_reference_polylines(render_histogram_svg, hist, "h")
+    assert render_histogram_svg(hist) == _with_reference_polylines(render_histogram_svg, hist)
