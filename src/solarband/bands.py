@@ -224,24 +224,22 @@ def calibrate_alpha(
         ks = np.asarray(at_index)
         if ks.ndim != 1 or ks.dtype.kind not in "iu":
             raise ValueError("at_index must be an int or a 1-d integer array")
-        if ks.size and not (ks.min() >= 0 and ks.max() <= n):
+        if not (ks.min(initial=0) >= 0 and ks.max(initial=0) <= n):
             raise ValueError(f"at_index outside [0, {n}]")
         ks = ks.astype(np.int64)
-    alphas = np.full(ks.size, np.nan)
-    if ks.size:
-        # Python-int product, clamped to n: a huge window_days cannot overflow int64.
-        los = np.maximum(ks - min(window_days * MINUTES_PER_DAY, n), 0)
-        base = int(los.min())
-        keep, ratios = _ratios(vol, mask, slice(base, int(ks.max())))
-        # The window [i, k) holds ratios[lo:hi], lo and hi counting the records kept before i and k.
-        lo, hi = np.searchsorted(np.flatnonzero(keep), [los - base, ks - base])
-        windows, which = np.unique(lo * (ratios.size + 1) + hi, return_inverse=True)
-        lo, hi = np.divmod(windows, ratios.size + 1)  # sorted by lo
-        found = np.full(windows.size, np.nan)
-        some = lo < hi
-        lo, hi = lo[some], hi[some]
-        found[some] = _order_statistics(ratios, lo, hi, _ranks(hi - lo, target))
-        alphas = found[which]
+    # Python-int product, clamped to n: a huge window_days cannot overflow int64.
+    los = np.maximum(ks - min(window_days * MINUTES_PER_DAY, n), 0)
+    base = int(los.min(initial=n))  # an empty batch reads the empty span [n, 0)
+    keep, ratios = _ratios(vol, mask, slice(base, int(ks.max(initial=0))))
+    # The window [i, k) holds ratios[lo:hi], lo and hi counting the records kept before i and k.
+    lo, hi = np.searchsorted(np.flatnonzero(keep), [los - base, ks - base])
+    windows, which = np.unique(lo * (ratios.size + 1) + hi, return_inverse=True)
+    lo, hi = np.divmod(windows, ratios.size + 1)  # sorted by lo
+    found = np.full(windows.size, np.nan)
+    some = lo < hi
+    lo, hi = lo[some], hi[some]
+    found[some] = _order_statistics(ratios, lo, hi, _ranks(hi - lo, target))
+    alphas = found[which]
     if not scalar:
         return alphas
     if np.isnan(alphas[0]):

@@ -90,7 +90,7 @@ def normtest_report_csv(reports: list[normality.NormalityReport]) -> str:
     for r in reports:
         out.append(
             f"{r.test_name},{r.n},{format_value(r.statistic)},"
-            f"{format_value(r.threshold)},{r.level:g},{'true' if r.reject else 'false'}"
+            f"{format_value(r.threshold)},{format_value(r.level)},{'true' if r.reject else 'false'}"
         )
     return "\n".join(out) + "\n"
 

@@ -52,18 +52,17 @@ def trend_forecast(
 
     predicted = np.empty(n)
     predicted[:horizon] = np.nan
-    if horizon < n:
-        out = predicted[horizon:]
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            np.multiply(decomposition.slope[:-horizon], horizon, out=out)
-            np.add(decomposition.trend[:-horizon], out, out=out)
-        bad = np.isinf(out)
-        if bad.any():
-            raise NonFiniteError(
-                f"a trend line extrapolated {horizon} minutes overflows double precision, "
-                f"the first from sample {int(bad.argmax())}"
-            )
-        np.clip(out, 0.0, None, out=out)
+    out = predicted[horizon:]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        np.multiply(decomposition.slope[:-horizon], horizon, out=out)
+        np.add(decomposition.trend[:-horizon], out, out=out)
+    bad = np.isinf(out)
+    if bad.any():
+        raise NonFiniteError(
+            f"a trend line extrapolated {horizon} minutes overflows double precision, "
+            f"the first from sample {int(bad.argmax())}"
+        )
+    np.clip(out, 0.0, None, out=out)
     return ForecastTrack(
         start_time=series.start_time,
         horizon=horizon,

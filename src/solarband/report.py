@@ -117,7 +117,7 @@ def _nice_step(span: float) -> float:
     power = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
     if power == 0.0:
         return 1.0
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if power * mult >= raw:
             return power * mult
     return power * 10.0

@@ -37,8 +37,7 @@ def volatility_track(track: ForecastTrack) -> VolatilityTrack:
         raise NoRecordsError("forecast track has no defined records")
     vol = np.abs(diff)
     vol_pred = np.full(diff.size, np.nan)
-    if track.horizon < diff.size:
-        vol_pred[track.horizon :] = vol[: -track.horizon]
+    vol_pred[track.horizon :] = vol[: -track.horizon]
     return VolatilityTrack(
         start_time=track.start_time,
         horizon=track.horizon,

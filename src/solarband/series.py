@@ -271,7 +271,7 @@ def format_value(value: float) -> str:
     to the exact decimal expansion so the file stays plain-decimal.
     """
     text = repr(float(value))
-    if "e" in text or "E" in text:
+    if "e" in text:
         text = format(Decimal(float(value)), "f")
     return text
 
@@ -379,10 +379,6 @@ def ingest_csv(text: str) -> IrradianceSeries:
     return IrradianceSeries(start_time=start, values=values)
 
 
-def _cell(value: float) -> str:
-    return "" if math.isnan(value) else format_value(value)
-
-
 def write_grid_csv(header: str, start: datetime, keep: np.ndarray, *columns: np.ndarray) -> str:
     """CSV of one row per kept sample: its timestamp, then a cell per column (NaN -> empty).
 
@@ -392,7 +388,7 @@ def write_grid_csv(header: str, start: datetime, keep: np.ndarray, *columns: np.
     chunks = [header]
     for lo in range(0, idx.size, _WRITE_CHUNK):
         k = idx[lo : lo + _WRITE_CHUNK]
-        cells = ([_cell(v) for v in column[k].tolist()] for column in columns)
+        cells = (["" if math.isnan(v) else format_value(v) for v in column[k].tolist()] for column in columns)
         chunks.append("\n".join(map(",".join, zip(_stamps(start, k), *cells))))
     chunks.append("")  # the last row's newline
     return "\n".join(chunks)

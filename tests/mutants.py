@@ -264,6 +264,28 @@ MUTANTS = (
         ("tests/test_cli.py::test_main_never_freezes_the_collector",),
     ),
     Mutant(
+        "normtest-level-written-with-g",
+        "src/solarband/cli.py",
+        "{format_value(r.level)}",
+        "{r.level:g}",
+        ("tests/test_cli.py::test_normtest_report_writes_its_level_as_every_float",),
+    ),
+    Mutant(
+        "an-empty-batch-reads-from-the-track-start",
+        "src/solarband/bands.py",
+        "los.min(initial=n)",
+        "los.min(initial=0)",
+        ("tests/test_bands.py::test_standalone_call_computes_only_its_window",),
+    ),
+    Mutant(
+        "a-gap-cell-written-as-nan",
+        "src/solarband/series.py",
+        '"" if math.isnan(v) else format_value(v)',
+        "format_value(v)",
+        ("tests/test_grid_csv.py::test_array_writer_matches_row_loop",
+         "tests/test_cli.py::test_default_horizon_chain_bytes_are_pinned"),
+    ),
+    Mutant(
         "empty-zoom-flag-reads-as-absent",
         "src/solarband/cli.py",
         "    if (args.zoom_from is None) != (args.zoom_to is None):\n"

@@ -18,7 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import solarband
-from solarband import cli
+from solarband import cli, normality
 from solarband import series as series_mod
 from solarband.bands import calibrated_band, calibration_events
 from solarband.decomposition import DEFAULT_WINDOW, extract_trend
@@ -108,6 +108,16 @@ def test_normtest_report_lines(tmp_path, capsys):
         assert level == "0.05"
         assert reject in ("true", "false")
     assert names == ["jarque_bera", "kolmogorov_smirnov", "lilliefors"]
+
+
+@pytest.mark.parametrize("level", [1e-5, 0.123456789012])
+def test_normtest_report_writes_its_level_as_every_float(level):
+    """``:g`` wrote these levels as 1e-05 and 0.123457; the second does not parse back."""
+    x = np.random.default_rng(0).standard_normal(200)
+    reports = [normality.jarque_bera(x, level), normality.ks_normal(x, level)]
+    for row in cli.normtest_report_csv(reports).splitlines()[1:]:
+        field = row.split(",")[4]
+        assert field == series_mod.format_value(level) and float(field) == level
 
 
 def test_report_emits_scorecard_and_three_svgs(tmp_path):
