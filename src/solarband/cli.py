@@ -38,28 +38,23 @@ BAND_CSV_HEADER = "timestamp,lower_wm2,upper_wm2,alpha"
 NORMTEST_HEADER = "test,n,statistic,threshold,level,reject"
 
 
-class TrackCsvError(SeriesCsvError):
-    """Forecast-track CSV violates the format contract."""
-
-
 # At most 7 digits and no leading zero: every horizon below MAX_GRID_MINUTES, one spelling each.
 _NAMED_HORIZON = re.compile(r"timestamp,predicted_([1-9][0-9]{0,6})min_wm2,")
 
 
 def _track_header(horizon: int) -> str:
-    """The one header for a track at ``horizon``: any other names its predicted column."""
+    """The one header for a track at ``horizon``: any other names its predicted column.
+
+    A horizon of ``MAX_GRID_MINUTES`` or more is a SeriesCsvError, written or read.
+    """
+    if horizon >= MAX_GRID_MINUTES:
+        raise SeriesCsvError(f"horizon {horizon} is not below MAX_GRID_MINUTES ({MAX_GRID_MINUTES})")
     named = "" if horizon == DEFAULT_HORIZON else f"_{horizon}min"
     return FORECAST_CSV_HEADER.replace("predicted_", f"predicted{named}_")
 
 
 def write_forecast_csv(track: ForecastTrack) -> str:
-    """Render a forecast track; rows with neither field defined are omitted.
-
-    A horizon of ``MAX_GRID_MINUTES`` or more is a TrackCsvError: no header
-    :func:`read_forecast_csv` accepts names it.
-    """
-    if track.horizon >= MAX_GRID_MINUTES:
-        raise TrackCsvError(f"horizon {track.horizon} is not below MAX_GRID_MINUTES ({MAX_GRID_MINUTES})")
+    """Render a forecast track; rows with neither field defined are omitted."""
     keep = ~(np.isnan(track.predicted) & np.isnan(track.realized))
     return write_grid_csv(_track_header(track.horizon), track.start_time, keep,
                           track.predicted, track.realized)
@@ -69,12 +64,11 @@ def read_forecast_csv(text: str) -> ForecastTrack:
     """Parse a forecast-track CSV back onto the minute grid, at the horizon its header names.
 
     A header that names no horizon is at ``DEFAULT_HORIZON``. Any header but
-    the one ``write_forecast_csv`` gives its horizon is a TrackCsvError.
+    the one ``write_forecast_csv`` gives its horizon is a SeriesCsvError.
     """
     named = _NAMED_HORIZON.match(text)
     horizon = int(named[1]) if named else DEFAULT_HORIZON
-    header = _track_header(horizon if horizon < MAX_GRID_MINUTES else DEFAULT_HORIZON)
-    start, (predicted, realized) = read_grid_csv(text, header, TrackCsvError, empty_is_gap=True)
+    start, (predicted, realized) = read_grid_csv(text, _track_header(horizon), empty_is_gap=True)
     return ForecastTrack(start_time=start, horizon=horizon, predicted=predicted, realized=realized)
 
 
@@ -310,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except bands_mod.UncalibratableWindowError as exc:
         return _fail(f"solarband {args.subcommand}: uncalibratable window: {exc}",
                      EXIT_UNCALIBRATABLE)
-    except (ValueError, OSError) as exc:  # SeriesCsvError and TrackCsvError included
+    except (ValueError, OSError) as exc:  # SeriesCsvError included
         return _fail(f"solarband {args.subcommand}: {type(exc).__name__}: {exc}", EXIT_DATA)
     return EXIT_OK
 

@@ -296,17 +296,15 @@ def _floats(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarra
     return out
 
 
-def read_grid_csv(
-    text: str, header: str, error: type[SeriesCsvError], empty_is_gap: bool = False
-) -> tuple[datetime, list[np.ndarray]]:
+def read_grid_csv(text: str, header: str, empty_is_gap: bool = False) -> tuple[datetime, list[np.ndarray]]:
     """Parse a minute-grid CSV: its start time and a new, read-only, gap-filled array per value column.
 
     Rows hold an exact ``YYYY-MM-DDTHH:MM:SSZ`` stamp on a whole minute, later
     than the row before and within ``MAX_GRID_MINUTES`` of the first, then
     cells parsed as ``float`` parses them; an empty cell is NaN if
     ``empty_is_gap``. Missing minutes become NaN. Every defect raises
-    ``error``; the first defective row names its line and defect, and within
-    a row the first failed check below wins.
+    SeriesCsvError; the first defective row names its line and defect, and
+    within a row the first failed check below wins.
     """
     # One byte per character: a non-ASCII character, or a NUL that an S array
     # would drop, becomes "?", which no stamp or value accepts.
@@ -314,12 +312,12 @@ def read_grid_csv(
     raw += b"" if raw.endswith(b"\n") else b"\n"
     head = header.encode() + b"\n"
     if not raw.startswith(head):
-        raise error(f"expected header {header!r}")
+        raise SeriesCsvError(f"expected header {header!r}")
     ncols = header.count(",")
     buf = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))[1:]
     if ends.size == 0:
-        raise error("no data rows")
+        raise SeriesCsvError("no data rows")
     starts = np.concatenate(([len(head)], ends[:-1] + 1))
     commas = np.flatnonzero(buf == ord(","))[ncols:]
     n, defect = ends.size, None  # each check sees the rows before the first defect so far
@@ -361,7 +359,7 @@ def read_grid_csv(
     check("grid longer than MAX_GRID_MINUTES", minute - minute[:1] >= MAX_GRID_MINUTES)
     if defect is not None:
         line = text[starts[n] : ends[n]]
-        raise error(f"line {n + 2}: {defect}: {line!r}")
+        raise SeriesCsvError(f"line {n + 2}: {defect}: {line!r}")
     offset = minute - minute[0]
     columns = [np.full(int(offset[-1]) + 1, np.nan) for _ in range(ncols)]
     for column, cells in zip(columns, values.T):
@@ -375,7 +373,7 @@ def ingest_csv(text: str) -> IrradianceSeries:
     Missing minutes between the first and last row become gaps. Values are
     taken verbatim (bit-exact); nothing is interpolated.
     """
-    start, (values,) = read_grid_csv(text, CSV_HEADER, SeriesCsvError)
+    start, (values,) = read_grid_csv(text, CSV_HEADER)
     return IrradianceSeries(start_time=start, values=values)
 
 

@@ -133,11 +133,13 @@ MUTANTS = (
         ("tests/test_grid_csv.py::test_first_defect_names_its_line",),
     ),
     Mutant(
-        "a-track-defect-raised-as-the-series-error",
+        "track-header-admits-max-grid-minutes",
         "src/solarband/cli.py",
-        "read_grid_csv(text, header, TrackCsvError,",
-        "read_grid_csv(text, header, SeriesCsvError,",
-        ("tests/test_grid_csv.py::test_first_defect_names_its_line",),
+        "    if horizon >= MAX_GRID_MINUTES:\n",
+        "    if horizon > MAX_GRID_MINUTES:\n",
+        ("tests/test_grid_csv.py::"
+         "test_the_longest_horizon_a_track_header_names_round_trips_and_the_next_is_refused",
+         "tests/test_cli.py::test_a_track_header_naming_a_hostile_horizon_is_a_data_error[horizon_max.csv]"),
     ),
     Mutant(
         "a-grid-ending-on-the-last-stamp-minute-refused",

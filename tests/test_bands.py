@@ -7,6 +7,7 @@ import pytest
 from conftest import START, all_daylight, make_series, run_pipeline
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import reference_alpha, reference_calibrate, reference_events
 
 from solarband import bands
 from solarband.bands import (
@@ -350,50 +351,6 @@ def test_calibrate_alpha_is_the_minimal_multiplier(data):
     assert alpha == sorted(ratios)[rank - 1]
     assert sum(r <= alpha for r in ratios) / n >= target
     assert sum(r < alpha for r in ratios) / n < target
-
-
-def reference_calibrate(forecast, vol, mask, at_index, window_days, target):
-    """One index by the per-window rule, independent of the batched selection.
-
-    The window's own ratios, the rank ceil(target * n) settled against
-    rank / n >= target, and np.partition.
-    """
-    lo = max(0, at_index - window_days * bands.MINUTES_PER_DAY)
-    ratios = bands._ratios(vol, mask, slice(lo, at_index))[1]
-    if ratios.size == 0:
-        raise UncalibratableWindowError(f"no eligible record before index {at_index}")
-    n = ratios.size
-    rank = math.ceil(target * n)
-    while rank > 1 and (rank - 1) / n >= target:
-        rank -= 1
-    while rank / n < target:
-        rank += 1
-    return float(np.partition(ratios, rank - 1)[rank - 1])
-
-
-def reference_events(forecast, vol, mask, window_days, target, recal_every):
-    """The reference rule at every grid point."""
-    start_minute = int(forecast.start_time.timestamp()) // 60
-    events = []
-    for k in range((-start_minute) % recal_every, len(forecast), recal_every):
-        try:
-            alpha = reference_calibrate(forecast, vol, mask, k, window_days, target)
-        except UncalibratableWindowError:
-            alpha = None
-        events.append((k, alpha))
-    return events
-
-
-def reference_alpha(events, n):
-    """Per-slice fill: each event's multiplier, or the last success, holds until the next event."""
-    alpha = np.ones(n)
-    current = 1.0
-    for i, (k, value) in enumerate(events):
-        if value is not None:
-            current = value
-        nxt = events[i + 1][0] if i + 1 < len(events) else n
-        alpha[k:nxt] = current
-    return alpha
 
 
 def calibration_tracks(n, offset, seed, dawn, dusk, dropout, ties, gap_runs, outage=None):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,7 +27,8 @@ from solarband.forecast import DEFAULT_HORIZON, trend_forecast
 from solarband.normality import DegenerateSampleError
 from solarband.report import score, scorecard_csv
 from solarband.risk import volatility_track
-from solarband.series import MAX_GRID_MINUTES, DaylightMask, daylight_mask, emit_csv, ingest_csv
+from solarband.series import (MAX_GRID_MINUTES, DaylightMask, SeriesCsvError, daylight_mask, emit_csv,
+                              ingest_csv)
 from solarband.synth import SynthConfig, generate
 
 
@@ -452,7 +454,7 @@ def test_nonfinite_track_value_is_data_error(tmp_path):
 def test_negative_track_value_is_data_error(tmp_path, capsys):
     header = "timestamp,predicted_wm2,realized_wm2\n"
     for row in ("2021-01-01T00:00:00Z,-5,3\n", "2021-01-01T00:00:00Z,5,-3\n"):
-        with pytest.raises(cli.TrackCsvError, match="line 3: negative"):
+        with pytest.raises(SeriesCsvError, match="line 3: negative"):
             cli.read_forecast_csv(header + "2020-12-31T23:59:00Z,1,1\n" + row)
         bad = tmp_path / "neg.csv"
         bad.write_text(header + row)
@@ -869,13 +871,18 @@ def contract_inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_HEADERS))
 def test_a_track_header_naming_a_hostile_horizon_is_a_data_error(contract_inputs, tmp_path, capsys, name):
+    """A well-formed horizon of MAX_GRID_MINUTES was refused as a header the file never had."""
     track_csv = contract_inputs[0] / name
-    with pytest.raises(cli.TrackCsvError, match="expected header 'timestamp,predicted_wm2,realized_wm2'"):
+    if name == "horizon_max.csv":
+        refusal = f"horizon {MAX_GRID_MINUTES} is not below MAX_GRID_MINUTES ({MAX_GRID_MINUTES})"
+    else:
+        refusal = "expected header 'timestamp,predicted_wm2,realized_wm2'"
+    with pytest.raises(SeriesCsvError, match=f"^{re.escape(refusal)}$"):
         cli.read_forecast_csv(track_csv.read_text())
     for sub in ("bands", "normtest"):
         out = tmp_path / f"{sub}.csv"
         assert run(sub, "--input", str(track_csv), "--output", str(out)) == cli.EXIT_DATA
-        assert "TrackCsvError: expected header" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"solarband {sub}: SeriesCsvError: {refusal}\n"
         assert not out.exists()
 
 

@@ -9,63 +9,12 @@ import pytest
 from conftest import make_series, usable_cpus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
+from reference import reference_extract_trend
 
 from solarband import NonFiniteError
 from solarband import series as series_mod
-from solarband.decomposition import DEFAULT_WINDOW, Decomposition, extract_trend
+from solarband.decomposition import DEFAULT_WINDOW, extract_trend
 from solarband.synth import SynthConfig, generate
-
-
-def reference_extract_trend(series, window=DEFAULT_WINDOW):
-    """The whole-view fit, the reference for the block form.
-
-    The slope's product runs over the view of ``values`` padded by one 0.0,
-    then drops the padding row: a view of two or more rows never takes
-    numpy's one-row BLAS dot, so every slope is the in-order sum from +0.0.
-    """
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    values = series.values
-    n = values.size
-    if n < window:
-        raise ValueError(f"series has {n} samples, needs >= {window}")
-
-    # Centered abscissa makes the normal equations diagonal; the window sum
-    # of squared offsets has the closed form w(w^2 - 1)/12.
-    offsets = np.arange(window, dtype=float)
-    half_span = (window - 1) / 2.0
-    centered = offsets - half_span
-    sxx = window * (window * window - 1.0) / 12.0
-
-    windows = sliding_window_view(values, window)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fit is refused below
-        slope_tail = (sliding_window_view(np.append(values, 0.0), window) @ centered)[:-1] / sxx
-        trend_tail = windows.mean(axis=1) + slope_tail * half_span
-
-        trend = np.full(n, np.nan)
-        slope = np.full(n, np.nan)
-        trend[window - 1 :] = trend_tail
-        slope[window - 1 :] = slope_tail
-        fluctuation = values - trend
-    # A non-finite slope makes the trend, and so the fluctuation, non-finite;
-    # only a gap may leave it undefined.
-    tail = fluctuation[window - 1 :]
-    if not np.isfinite(tail).all():
-        gaps = np.concatenate(([0], np.cumsum(np.isnan(values))))
-        overflowed = ~np.isfinite(tail) & (gaps[window:] == gaps[:-window])
-        if overflowed.any():
-            raise NonFiniteError(
-                f"{np.count_nonzero(overflowed)} gap-free trend windows overflow double precision, "
-                f"the first ending at sample {window - 1 + np.flatnonzero(overflowed)[0]}"
-            )
-
-    return Decomposition(
-        start_time=series.start_time,
-        trend=trend,
-        fluctuation=fluctuation,
-        slope=slope,
-    )
 
 
 def fit_endpoint_oracle(window_values):

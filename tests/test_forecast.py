@@ -3,6 +3,7 @@ import pytest
 from conftest import START, make_series
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import reference_trend_forecast
 
 from solarband.decomposition import Decomposition, extract_trend
 from solarband.forecast import trend_forecast
@@ -84,21 +85,6 @@ def test_an_extrapolation_beyond_double_range_is_refused():
     with pytest.raises(NonFiniteError, match="extrapolated 1000 minutes"):
         trend_forecast(s, d, 1000)
     assert np.isfinite(trend_forecast(s, d, 1).predicted[2:]).all()
-
-
-def reference_trend_forecast(decomposition, horizon):
-    """The extrapolation into fresh temporaries: predicted's bytes, or the error message."""
-    n = len(decomposition)
-    predicted = np.full(n, np.nan)
-    if horizon < n:
-        with np.errstate(over="ignore", invalid="ignore"):
-            extrapolated = decomposition.trend[:-horizon] + decomposition.slope[:-horizon] * horizon
-        bad = np.isinf(extrapolated)
-        if bad.any():
-            return (f"a trend line extrapolated {horizon} minutes overflows double precision, "
-                    f"the first from sample {int(bad.argmax())}")
-        np.clip(extrapolated, 0.0, None, out=predicted[horizon:])
-    return predicted.tobytes()
 
 
 def _lines(kind, n, seed):

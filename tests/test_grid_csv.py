@@ -1,13 +1,12 @@
 """The minute-grid CSV codec: round trips, writer and reader against row-loop references, reader errors."""
 
-import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_read_grid_csv
+from reference import format_timestamp, reference_read_grid_csv, reference_write_grid_csv
 
 from solarband import cli
 from solarband import series as series_mod
@@ -18,9 +17,7 @@ from solarband.series import (
     MAX_GRID_MINUTES,
     IrradianceSeries,
     SeriesCsvError,
-    _stamps,
     emit_csv,
-    format_value,
     ingest_csv,
     parse_timestamp,
     read_grid_csv,
@@ -43,11 +40,6 @@ def gappy(draw, n):
 
 def bits(arr):
     return np.asarray(arr, dtype=float).view(np.uint64)
-
-
-def format_timestamp(when):
-    """The one stamp of ``when``, as the CSV writers and ``bands`` print it."""
-    return _stamps(when, np.zeros(1, dtype=np.int64))[0]
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -77,35 +69,23 @@ def test_forecast_csv_round_trip(start, data, n):
 
 
 def test_the_longest_horizon_a_track_header_names_round_trips_and_the_next_is_refused():
-    """A horizon of MAX_GRID_MINUTES was written, then refused by the reader."""
+    """A horizon of MAX_GRID_MINUTES was written, then refused by the reader; now both refuse it."""
     start = datetime(2021, 3, 1, tzinfo=timezone.utc)
     realized = np.array([1.0, 2.0, 3.0])
     longest = ForecastTrack(start, MAX_GRID_MINUTES - 1, np.full(3, np.nan), realized)
     text = cli.write_forecast_csv(longest)
     assert text.startswith(f"timestamp,predicted_{MAX_GRID_MINUTES - 1}min_wm2,realized_wm2\n")
     assert cli.read_forecast_csv(text) == longest
-    with pytest.raises(cli.TrackCsvError, match=f"^horizon {MAX_GRID_MINUTES} is not below MAX_GRID_MINUTES"):
+    refused = f"^horizon {MAX_GRID_MINUTES} is not below MAX_GRID_MINUTES \\({MAX_GRID_MINUTES}\\)$"
+    with pytest.raises(SeriesCsvError, match=refused):
         cli.write_forecast_csv(ForecastTrack(start, MAX_GRID_MINUTES, np.full(3, np.nan), realized))
+    with pytest.raises(SeriesCsvError, match=refused):
+        cli.read_forecast_csv(text.replace(f"_{MAX_GRID_MINUTES - 1}min", f"_{MAX_GRID_MINUTES}min", 1))
 
 
 # ---------------------------------------------------------------------------
 # the array writer against the row loop it replaced
 # ---------------------------------------------------------------------------
-
-
-def cell(value):
-    return "" if math.isnan(value) else format_value(value)
-
-
-def reference_write_grid_csv(header, start, keep, *columns):
-    """The row-loop writer the array writer replaced: a datetime and a format_value call per cell."""
-    idx = np.flatnonzero(keep)
-    rows = [header]
-    rows.extend(
-        ",".join((format_timestamp(start + k * CADENCE), *map(cell, cells)))
-        for k, *cells in zip(idx.tolist(), *(column[idx].tolist() for column in columns))
-    )
-    return "\n".join(rows) + "\n"
 
 
 # plain decimals, and the magnitudes whose repr is scientific (the Decimal fallback)
@@ -163,8 +143,8 @@ def read_track(text):
 
 
 K = ROW - 1  # grid index of the defective row when its stamp is in place
-# (name, the defect its message names, series row, track row): rows that the reader
-# rejected when it parsed each row with strptime and float, as it did before it was vectorized
+# (name, the defect its message names, series row, track row): rows that break the format
+# even where each stamp is read with strptime("%Y-%m-%dT%H:%M:%SZ") and each cell with float()
 REJECTED = [
     ("fields", "wrong field count", f"{stamp(K)},1,2", f"{stamp(K)},1"),
     ("empty line", "wrong field count", "", ""),
@@ -183,7 +163,7 @@ REJECTED = [
     ("duplicate", "duplicate timestamp", f"{stamp(K - 1)},1", f"{stamp(K - 1)},1,1"),
     ("out of order", "timestamp out of order", f"{stamp(0)},1", f"{stamp(0)},1,1"),
 ]
-# rows that reader accepted and the fixed layout and ASCII-only cells now reject
+# rows that strptime and float() accept and the fixed stamp layout and ASCII-only cells refuse
 TIGHTENED = [
     ("single-digit month", "malformed timestamp", "2021-3-01T16:39:00Z,1", "2021-3-01T16:39:00Z,1,1"),
     ("single-digit second", "malformed timestamp", f"{stamp(K)[:-3]}0Z,1", f"{stamp(K)[:-3]}0Z,1,1"),
@@ -198,14 +178,14 @@ DEFECTS = REJECTED + TIGHTENED
 def test_first_defect_names_its_line(fmt, defect):
     _, named, series_row, track_row = defect
     if fmt == "series":
-        text, read, error = csv_with(CSV_HEADER, "1", series_row), ingest_csv, SeriesCsvError
+        text, read = csv_with(CSV_HEADER, "1", series_row), ingest_csv
     else:
-        text, read, error = csv_with(cli.FORECAST_CSV_HEADER, "1,", track_row), read_track, cli.TrackCsvError
+        text, read = csv_with(cli.FORECAST_CSV_HEADER, "1,", track_row), read_track
     # a later defect of another kind must not mask the first one
     text = text.replace(f"{stamp(1300)},", f"{stamp(1300)},-", 1)
     with pytest.raises(SeriesCsvError) as exc:
         read(text)
-    assert type(exc.value) is error
+    assert type(exc.value) is SeriesCsvError
     assert str(exc.value).startswith(f"line {ROW + 1}: {named}: ")
 
 
@@ -222,7 +202,7 @@ def test_header_and_empty_errors():
     for text in ("timestamp,ghi_wm2", "timestamp,ghi_wm2\n"):
         with pytest.raises(SeriesCsvError, match="no data rows"):
             ingest_csv(text)
-    with pytest.raises(cli.TrackCsvError, match="header"):
+    with pytest.raises(SeriesCsvError, match="^expected header 'timestamp,predicted_wm2,realized_wm2'$"):
         read_track("timestamp,predicted_wm2\n")
 
 
@@ -273,7 +253,7 @@ def test_grid_span_is_capped():
     with pytest.raises(SeriesCsvError, match="line 3: grid longer than MAX_GRID_MINUTES") as exc:
         ingest_csv(f"{CSV_HEADER}\n{stamp(0)},1\n{too_far},2\n")
     assert type(exc.value) is SeriesCsvError
-    with pytest.raises(cli.TrackCsvError, match="line 3: grid longer"):
+    with pytest.raises(SeriesCsvError, match="line 3: grid longer"):
         read_track(f"{cli.FORECAST_CSV_HEADER}\n{stamp(0)},1,1\n{too_far},2,2\n")
 
 
@@ -328,7 +308,7 @@ def mutated(draw, text):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None, database=None)
 def test_a_mutated_file_parses_or_raises_a_format_error(read, text, data):
-    """Nothing but a SeriesCsvError (a TrackCsvError is one) escapes a reader, warnings included."""
+    """Nothing but a SeriesCsvError escapes a reader, series or track, warnings included."""
     try:
         read(data.draw(mutated(text)))
     except SeriesCsvError:
@@ -347,10 +327,6 @@ def read_outcome(read, text, header, empty_is_gap):
     return start, [column.tobytes() for column in columns]
 
 
-def read_grid_csv_as_series_error(text, header, empty_is_gap):
-    return read_grid_csv(text, header, SeriesCsvError, empty_is_gap=empty_is_gap)
-
-
 @pytest.mark.parametrize("text, header, empty_is_gap",
                          [(SMALL_SERIES, CSV_HEADER, False), (SMALL_TRACK, cli.FORECAST_CSV_HEADER, True)],
                          ids=["series", "track"])
@@ -362,5 +338,5 @@ def test_mutated_rows_read_as_the_row_loop_reads_them(text, header, empty_is_gap
     The edits fall after the header line, so that each draw reaches the row checks.
     """
     edited = header + "\n" + data.draw(mutated(text[len(header) + 1 :]))
-    assert read_outcome(read_grid_csv_as_series_error, edited, header, empty_is_gap) == \
+    assert read_outcome(read_grid_csv, edited, header, empty_is_gap) == \
         read_outcome(reference_read_grid_csv, edited, header, empty_is_gap)

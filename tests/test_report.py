@@ -8,6 +8,7 @@ import pytest
 from conftest import START, all_daylight, make_series, run_pipeline_with_band
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import reference_polylines
 
 from solarband import report
 from solarband.bands import BandTrack, calibrate_alpha, inside_band
@@ -290,20 +291,6 @@ def test_plots_refuse_tracks_not_aligned_with_the_series():
         for forecast, frontiers in ((late_track, late_band), (track, late_band), (short_track, band)):
             with pytest.raises(ValueError, match="tracks are not aligned"):
                 emit_plot(series, forecast, frontiers, kind, zoom=zoom)
-
-
-def reference_polylines(parts, xs, ys, sx, sy, cls, style):
-    """The per-point formatter the array version replaced: one ``_fmt`` per coordinate,
-    and a new polyline after every NaN."""
-    runs = [[]]
-    for x, y in zip(xs, ys):
-        if math.isnan(y):
-            runs.append([])
-        else:
-            runs[-1].append(f"{report._fmt(sx(x))},{report._fmt(sy(y))}")
-    for run in runs:
-        if run:
-            parts.append(f'<polyline class="{cls}" fill="none" {style} points="{" ".join(run)}"/>')
 
 
 def _with_reference_polylines(render, *args):
